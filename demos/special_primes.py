@@ -16,7 +16,7 @@ from hgdensity.specialcase import (
 
 
 def main():
-    for p in (23, 47, 59, 83, 107):
+    for p in (19, 23, 47, 59, 83, 107, 163, 251):
         sp = parse_special_prime(p)
         print(f"p = {p} = 2*{sp.q}^{sp.r} + 1")
         table = {s.label(): s.density for s in enumerate_b_shapes(sp)}

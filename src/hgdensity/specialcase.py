@@ -7,13 +7,13 @@ list of shapes with explicitly known densities.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .arith import HGParams, is_prime
+from .arith import HGParams, euler_phi, factorize, is_prime
 from .density import bounded_residues
 from .errors import CaseViolation, HypothesisError, ShapeMismatch
 
@@ -35,23 +35,10 @@ def parse_special_prime(p: int) -> SpecialPrime | None:
     """Recognize p = 2*q**r + 1; None when p is not of this form."""
     if p < 5 or not is_prime(p):
         return None
-    n = (p - 1) // 2
-    if n % 2 == 0 or n < 3:
-        return None
-    # n must be a power of a single odd prime
-    q = 3
-    while q * q <= n:
-        if n % q == 0:
-            break
-        q += 2
-    else:
-        return SpecialPrime(p=p, q=n, r=1)  # n itself prime
-    r = 0
-    while n % q == 0:
-        n //= q
-        r += 1
-    if n != 1:
-        return None
+    factors = factorize((p - 1) // 2)
+    if len(factors) != 1 or factors[0][0] == 2:
+        return None  # (p - 1) / 2 must be a power of a single odd prime
+    [(q, r)] = factors
     return SpecialPrime(p=p, q=q, r=r)
 
 
@@ -107,17 +94,7 @@ def enumerate_b_shapes(sp: SpecialPrime) -> list[BShape]:
 def find_generator(p: int) -> int:
     """Smallest primitive root mod p."""
     order = p - 1
-    prime_divs = []
-    n = order
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            prime_divs.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        prime_divs.append(n)
+    prime_divs = [q for q, _ in factorize(order)]
     for g in range(2, p):
         if all(pow(g, order // q, p) != 1 for q in prime_divs):
             return g
@@ -181,97 +158,105 @@ class SweepResult:
     total: int
 
 
-def _subgroup_chain(sp: SpecialPrime):
-    """QR-part subgroups A_j = <u^(q^j)>, j = r..0, with their new elements.
+def _pattern_table(
+    sp: SpecialPrime, powg: np.ndarray, divs: list[int]
+) -> dict[int, BShape]:
+    """Subgroup pattern of every shape: bit i set when H_(divs[i]) lies in it.
 
-    Returns (levels, minus_one) where levels[i] = (j, new_elements) lists the
-    elements A_j \\ A_{j+1} going down from A_r = {1} to A_0 = Q.
+    powg[k] = g^k for a primitive root g, so H_d = <g^(n/d)> is powg[::n/d].
     """
-    p, q, r = sp.p, sp.q, sp.r
-    u = _qr_generator(sp)
-    sets = {}
-    for j in range(r + 1):
-        gen = pow(u, q**j, p)
-        members = set()
-        w = gen
-        while w not in members:
-            members.add(w)
-            w = w * gen % p
-        sets[j] = members
-    levels = []
-    prev: set[int] = set()
-    for j in range(r, -1, -1):
-        new = sorted(sets[j] - prev)
-        levels.append((j, new))
-        prev = sets[j]
-    return levels
+    n = sp.p - 1
+    table = {}
+    for shape in enumerate_b_shapes(sp):
+        members = shape_members(sp, shape)
+        mask, union = 0, set()
+        for i, d in enumerate(divs):
+            H = set(powg[:: n // d].tolist())
+            if H <= members:
+                mask |= 1 << i
+                union |= H
+        assert union == members, f"{shape.label()} is not a union of subgroups"
+        table[mask] = shape
+    return table
 
 
 def sweep_special(sp: SpecialPrime) -> SweepResult:
     """Classify B for every triple (x/p, y/p; z/p) over a special prime.
 
-    Work is factored through the coset condition: the pointwise set for
-    (x, y; z) is determined by s = x/z and t = y/z mod p, and membership of
-    u in B reduces to z<u> being contained in the cached set
-    T(s, t) = {w : [-w]_p <= max([-ws]_p, [-wt]_p)}.  The x <-> y symmetry
-    halves the (s, t) space.
+    The pointwise set of (x, y; z) is determined by s = x/z and t = y/z mod p,
+    and u lies in B exactly when the coset z<u> is contained in
+    T(s, t) = {w : [-w]_p <= max([-ws]_p, [-wt]_p)}.  With n = p - 1 and g a
+    primitive root, every unit is w = g^k and the subgroups of the cyclic
+    unit group are H_d = <g^(n/d)> for d | n, so z*H_d lies in T exactly when
+    T holds at every log k = log z (mod n/d).  Reshaping the log-indexed rows
+    of T to (d, n/d) and reducing over the first axis decides that for every
+    z at once.  B is the union of the H_d that fit, so each (t, z) cell gets a
+    pattern: a bitmask over the divisors d, and |B| = sum of phi(d) over its
+    set bits.  Since [-w]_p <= max(a, b) is an OR of two comparisons, each T
+    row is the OR of two rows of one (n, n) comparison table.
+
+    One s is processed per batch, holding the rows t = s..p-1 (the x <-> y
+    symmetry halves the (s, t) space: off-diagonal rows weigh 2).  Pattern
+    counts are mapped to shapes through a table built once from
+    enumerate_b_shapes and shape_members; a pattern that matches no shape
+    raises ShapeMismatch.
     """
-    p, q, r = sp.p, sp.q, sp.r
-    levels = _subgroup_chain(sp)
-    w_arr = np.arange(1, p, dtype=np.int64)
-    neg_w = p - w_arr
-    shape_counts: dict[str, int] = {}
-    best: tuple[Fraction, tuple[int, int, int]] | None = None
-    total = 0
+    p = sp.p
+    n = p - 1
+    g = find_generator(p)
+    divs = [d for d in range(1, n + 1) if n % d == 0]
+    powg = np.array([pow(g, k, p) for k in range(n)], dtype=np.int64)  # g^k
+    table = _pattern_table(sp, powg, divs)
+    pattern = np.arange(1 << len(divs))
+    sizes = sum(euler_phi(d) * (pattern >> i & 1) for i, d in enumerate(divs))
+    log = np.zeros(p, dtype=np.intp)
+    log[powg] = np.arange(n)
+    # le[e, k] = [[-g^k]_p <= [g^(e+k)]_p], so with w = g^k the condition
+    # [-w]_p <= [-wt]_p is row log(-t), and -1 = g^(n/2)
+    shifted = sliding_window_view(np.concatenate([powg, powg[:-1]]), n)
+    le = shifted[n // 2] <= shifted
+    counts = np.zeros(1 << len(divs), dtype=np.int64)
+    best_size, best_key = -1, 0
+    batch = np.empty((p - 2, n), dtype=np.intp)  # the largest batch, s = 2
     for s in range(2, p):
-        ws = (-w_arr * s) % p
-        for t in range(s, p):
-            T = np.zeros(p, dtype=bool)
-            T[1:] = neg_w <= np.maximum(ws, (-w_arr * t) % p)
-            # descend the chain: jlevel[z] = least j with z * A_j inside T
-            jlevel = {}
-            alive = [z for z in range(1, p) if T[z]]
-            for j, new in levels:
-                survivors = []
-                for z in alive:
-                    if all(T[z * h % p] for h in new):
-                        jlevel[z] = j
-                        survivors.append(z)
-                alive = survivors
-            # k-level from the reflection z -> p - z
-            weight = 2 if s != t else 1
-            for z, jstar in jlevel.items():
-                kstar = None
-                jneg = jlevel.get(p - z)
-                if jneg is not None:
-                    kstar = max(jstar, jneg)
-                    # C_k = A_k u (-A_k): z*C_k in T iff both z and p-z reach level k
-                    if kstar < jstar:
-                        raise ShapeMismatch(
-                            f"non-down-closed family at p={p}, s={s}, t={t}, z={z}"
-                        )
-                shape = _shape(sp, jstar, kstar)
-                label = shape.label()
-                shape_counts[label] = shape_counts.get(label, 0) + weight
-                total += weight
-                x, y = s * z % p, t * z % p
-                cand = (min(x, y), max(x, y), z)
-                if best is None or shape.density > best[0] or (
-                    shape.density == best[0] and cand < best[1]
-                ):
-                    best = (shape.density, cand)
-            n_empty = (p - 1) - len(jlevel)
-            if n_empty:
-                shape_counts["EMPTY"] = shape_counts.get("EMPTY", 0) + n_empty * weight
-                total += n_empty * weight
-    assert best is not None
+        t = np.arange(s, p)
+        rows = len(t)
+        T = le[log[p - s]] | le[log[p - t]]
+        mask = batch[:rows]
+        mask.fill(0)
+        for i, d in enumerate(divs):
+            fits = T.reshape(rows, d, n // d).all(axis=1)
+            cosets = mask.reshape(rows, d, n // d)
+            np.bitwise_or(cosets, 1 << i, out=cosets, where=fits[:, None, :])
+        found = np.bincount(mask.ravel(), minlength=len(counts))
+        counts += 2 * found - np.bincount(mask[0], minlength=len(counts))
+        top = int(sizes[found > 0].max())
+        if top < best_size:
+            continue
+        r, j = np.nonzero((sizes == top)[mask])
+        z = powg[j]
+        x, y = s * z % p, t[r] * z % p
+        key = int((np.minimum(x, y) * p * p + np.maximum(x, y) * p + z).min())
+        if top > best_size or key < best_key:
+            best_size, best_key = top, key
+    for m in np.flatnonzero(counts).tolist():
+        if m not in table:
+            orders = [d for i, d in enumerate(divs) if m >> i & 1]
+            raise ShapeMismatch(
+                f"B = union of the subgroups of orders {orders} over p={p}"
+                " matches no enumerated shape"
+            )
+    shape_counts = {
+        shape.label(): int(counts[m]) for m, shape in table.items() if counts[m]
+    }
+    total = int(counts.sum())
     expected = (p - 2) * (p - 2) * (p - 1)
     assert total == expected, f"swept {total} triples, expected {expected}"
     return SweepResult(
         sp=sp,
         shape_counts=shape_counts,
-        max_density=best[0],
-        witness=best[1],
+        max_density=Fraction(best_size, n),
+        witness=(best_key // (p * p), best_key // p % p, best_key % p),
         total=total,
     )
 

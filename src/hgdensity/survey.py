@@ -200,6 +200,8 @@ def slice_dry_run(
     Densities are not computed (dry run).
     """
     _check_height(N)
+    if stride < 1 or chunk < 1:
+        raise ValueError(f"stride and chunk must be >= 1, got {stride} and {chunk}")
     n = len(fractions_up_to(N))
     space = n**3
     start = 0

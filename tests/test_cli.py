@@ -101,6 +101,13 @@ def test_sweep_beta_and_dry_run(capsys):
     assert code == 0 and data["completed"] is True
 
 
+def test_dry_run_zero_stride_is_usage_error(capsys):
+    code, out, err = run(capsys, "sweep", "8", "--dry-run", "--stride", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("invalid arguments:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_sweep_output_file(capsys, tmp_path):
     target = tmp_path / "hist.csv"
     code, _, _ = run(capsys, "sweep", "3", "--out", str(target))

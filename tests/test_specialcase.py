@@ -7,7 +7,7 @@ import pytest
 
 from hgdensity.arith import normalize_params
 from hgdensity.density import bounded_residues, density
-from hgdensity.errors import HypothesisError
+from hgdensity.errors import HypothesisError, ShapeMismatch
 from hgdensity.quadratic import legendre, quadratic_residues
 from hgdensity.specialcase import (
     classify_b,
@@ -21,7 +21,7 @@ from hgdensity.specialcase import (
     sweep_special,
 )
 
-from hgdensity import verify
+from hgdensity import specialcase, verify
 
 
 def params(x, y, z, p):
@@ -111,6 +111,84 @@ def test_sweep_matches_brute_force_at_23():
     assert res.shape_counts == dict(brute)
     assert res.total == sum(brute.values()) == (p - 2) * (p - 2) * (p - 1)
     assert (res.max_density, res.witness) == best
+
+
+def test_sweep_matches_brute_force_at_19():
+    # 19 = 2 * 3^2 + 1: the smallest r > 1 prime, where UNION(j, k) occurs
+    p = 19
+    res = sweep_special(parse_special_prime(p))
+    brute = Counter()
+    best = (Fraction(0), None)
+    for X, Y, Z in verify.params_with_modulus(p):
+        shape = classify_b(params(X, Y, Z, p))
+        brute[shape.label()] += 1
+        cand = (min(X, Y), max(X, Y), Z)
+        if shape.density > best[0] or (shape.density == best[0] and cand < best[1]):
+            best = (shape.density, cand)
+    assert res.shape_counts == dict(brute) == {
+        "EMPTY": 1785, "FULL(1)": 96, "FULL(2)": 936, "HALF(1)": 879,
+        "HALF(2)": 906, "UNION(1,2)": 600,
+    }
+    assert res.total == sum(brute.values()) == (p - 2) * (p - 2) * (p - 1)
+    assert (res.max_density, res.witness) == best == (Fraction(1, 3), (1, 7, 4))
+
+
+# Computed by an independent per-triple coset descent, not by the kernel
+# under test; the 163 values are also the benchmark's references.
+R_GT_1_SWEEPS = {
+    163: (  # 2 * 3^4 + 1
+        {
+            "EMPTY": 1404081, "FULL(3)": 119376, "FULL(4)": 769392,
+            "HALF(2)": 56708, "HALF(3)": 581761, "HALF(4)": 765612,
+            "UNION(2,3)": 12528, "UNION(2,4)": 43408, "UNION(3,4)": 446336,
+        },
+        Fraction(2, 27),
+        (1, 27, 24),
+    ),
+    251: (  # 2 * 5^3 + 1
+        {
+            "EMPTY": 5177125, "FULL(2)": 58680, "FULL(3)": 4145148,
+            "HALF(2)": 1003613, "HALF(3)": 4173512, "UNION(2,3)": 942172,
+        },
+        Fraction(1, 25),
+        (1, 5, 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("p", sorted(R_GT_1_SWEEPS))
+def test_sweep_pinned_at_r_gt_1_primes(p):
+    counts, dmax, witness = R_GT_1_SWEEPS[p]
+    res = sweep_special(parse_special_prime(p))
+    assert res.shape_counts == counts
+    assert (res.max_density, res.witness) == (dmax, witness)
+    assert res.total == (p - 2) * (p - 2) * (p - 1)
+    assert all(type(v) is int for v in res.shape_counts.values())
+
+
+def test_sweep_structure_at_487():
+    p = 487  # 2 * 3^5 + 1
+    sp = parse_special_prime(p)
+    assert (sp.q, sp.r) == (3, 5)
+    res = sweep_special(sp)
+    labels = {s.label() for s in enumerate_b_shapes(sp)}
+    assert set(res.shape_counts) <= labels
+    assert "FULL(0)" not in res.shape_counts
+    assert sum(res.shape_counts.values()) == res.total == (p - 2) * (p - 2) * (p - 1)
+    assert density(params(*res.witness, p)) == res.max_density
+
+
+def test_sweep_raises_on_unmatched_pattern(monkeypatch):
+    sp = parse_special_prime(19)
+    assert "HALF(1)" in sweep_special(sp).shape_counts
+    full_table = specialcase.enumerate_b_shapes
+    monkeypatch.setattr(
+        specialcase,
+        "enumerate_b_shapes",
+        lambda sp: [s for s in full_table(sp) if s.label() != "HALF(1)"],
+    )
+    with pytest.raises(ShapeMismatch):
+        sweep_special(sp)
 
 
 def test_max_density_values():

@@ -4,6 +4,7 @@ import io
 import math
 import os
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,24 @@ def test_dry_run_counts_exactly():
     assert rep.sampled == n**3
     assert rep.valid == len(list(survey.enumerate_params(4)))
     assert rep.completed
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("slice_dry_run did not return")
+
+
+@pytest.mark.parametrize("kwargs", [{"stride": -3}, {"stride": 0}, {"chunk": 0}])
+def test_dry_run_rejects_nonpositive_stride_and_chunk(kwargs):
+    # without validation a negative stride or a zero chunk loops forever: the
+    # alarm turns a hang into a failure
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(10)
+    try:
+        with pytest.raises(ValueError, match="must be >= 1"):
+            survey.slice_dry_run(8, **kwargs)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_dry_run_resume_equivalence(tmp_path):

@@ -15,11 +15,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .arith import HGParams, ResidueSet, euler_phi, is_prime, units_mod
+from .arith import HGParams, ResidueSet, euler_phi, factorize, is_prime, units_mod
 from .errors import HypothesisError, PrimeTooSmall
 
-# cache of (m, A, B, C) -> |B|, with A <= B by the a/b symmetry
-_BSIZE_CACHE: dict[tuple[int, int, int, int], int] = {}
+# bounded_counts evaluates at most this many (triple, unit) cells at once,
+# which bounds its temporaries to a few arrays of this many entries
+_KERNEL_CELLS = 1 << 16
 # per-modulus unit arrays for the vectorized pointwise-set computation
 _UNITS_NP: dict[int, np.ndarray] = {}
 
@@ -100,14 +101,106 @@ def bounded_residues(params: HGParams) -> ResidueSet:
 
 
 def bounded_count(m: int, A: int, B: int, C: int) -> int:
-    """|B| for the triple (A/m, B/m; C/m), memoized per residue data."""
-    key = (m, A, B, C) if A <= B else (m, B, A, C)
-    hit = _BSIZE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    n = len(_closure_members(m, *_pointwise_members(m, A, B, C)))
-    _BSIZE_CACHE[key] = n
-    return n
+    """|B| for the single triple (A/m, B/m; C/m).
+
+    One triple walks the cycles of S directly; batches of triples of one
+    modulus go through :func:`bounded_counts`, whose per-modulus plan costs
+    more than the walk when it serves a single triple.
+    """
+    return len(_closure_members(m, *_pointwise_members(m, A, B, C)))
+
+
+def _subgroup_plan(m: int):
+    """The cyclic subgroups of (Z/m)^*, laid out for :func:`bounded_counts`.
+
+    Returns ``(neg_units, classes, weights, steps)``.  Kernel row r stands
+    for the unit ``m - neg_units[r]``.  Rows are grouped by the cyclic
+    subgroup they generate, and subgroups by their number of generators:
+    each ``(start, count, size)`` in ``classes`` covers ``count`` subgroups
+    with ``size`` generators each, in rows ``start : start + count * size``.
+    ``weights[h] = phi(|H_h|)`` is the generator count of subgroup h in that
+    order.  ``steps`` lists, level by level in Omega(|H|), index arrays
+    ``(dst, src)`` pairing subgroups H of that level with one maximal
+    subgroup H^l each (l a prime dividing |H|); every such pair occurs in
+    exactly one step and no H occurs twice in a step.
+    """
+    sub_of: dict[int, int] = {}  # unit -> index of the subgroup it generates
+    gens: list[list[int]] = []
+    maximal: list[list[int]] = []  # per subgroup, u^l for each prime l | |H|
+    level: list[int] = []  # Omega(|H|)
+    for u in units_mod(m):
+        if u in sub_of:
+            continue
+        powers = [u]  # powers[k - 1] = u^k
+        w = u * u % m
+        while w != u:
+            powers.append(w)
+            w = w * u % m
+        d = len(powers)
+        g = [powers[k - 1] for k in range(1, d + 1) if math.gcd(k, d) == 1]
+        for x in g:
+            sub_of[x] = len(gens)
+        gens.append(g)
+        primes = factorize(d)
+        maximal.append([powers[l - 1] for l, _ in primes])
+        level.append(sum(e for _, e in primes))
+    order = sorted(range(len(gens)), key=lambda h: len(gens[h]))
+    rank = {h: i for i, h in enumerate(order)}
+    neg_units = np.array([m - u for h in order for u in gens[h]], dtype=np.int64)
+    weights = np.array([len(gens[h]) for h in order], dtype=np.int64)
+    sizes, counts = np.unique(weights, return_counts=True)
+    starts = np.cumsum(sizes * counts) - sizes * counts
+    classes = list(zip(starts.tolist(), counts.tolist(), sizes.tolist()))
+    steps = []
+    for lev in range(1, max(level) + 1):
+        tier = [h for h in range(len(gens)) if level[h] == lev]
+        for j in range(max(len(maximal[h]) for h in tier)):
+            pairs = [(rank[h], rank[sub_of[maximal[h][j]]])
+                     for h in tier if len(maximal[h]) > j]
+            steps.append(tuple(np.array(side, dtype=np.intp) for side in zip(*pairs)))
+    return neg_units, classes, weights, steps
+
+
+def bounded_counts(m: int, A, B, C) -> np.ndarray:
+    """|B| for each triple (A[t]/m, B[t]/m; C[t]/m) of one modulus m.
+
+    B is the union of the cyclic subgroups H of (Z/m)^* with H inside the
+    pointwise set S, and every unit generates exactly one cyclic subgroup,
+    so |B| = sum of phi(|H|) over the H inside S.  Every element of a cyclic
+    group H either generates H or lies in one of its maximal subgroups H^l,
+    l a prime dividing |H|.  Hence H lies inside S exactly when all of its
+    generators do and all of its H^l lie inside S, which the kernel
+    resolves level by level in Omega(|H|), from the trivial group up: one
+    AND over the generator rows of S per subgroup, then one AND per
+    (H, H^l) pair.  Triples are processed in chunks of at most
+    ``_KERNEL_CELLS`` (triple, unit) cells; within a chunk, [-vX]_m is
+    computed once per distinct numerator X and gathered per triple.
+    The numerators are expected in [0, m).
+    """
+    A, B, C = (np.asarray(x, dtype=np.int64) for x in (A, B, C))
+    if not A.shape == B.shape == C.shape == (len(C),):
+        raise ValueError(f"A, B, C must be 1-d of one length, got "
+                         f"{A.shape}, {B.shape}, {C.shape}")
+    out = np.empty(len(C), dtype=np.int64)
+    if len(C) == 0:
+        return out
+    neg_units, classes, weights, steps = _subgroup_plan(m)
+    rows = max(1, _KERNEL_CELLS // len(neg_units))
+    dtype = np.min_scalar_type(m)
+    for lo in range(0, len(C), rows):
+        sl = slice(lo, lo + rows)
+        vals, idx = np.unique(np.concatenate((A[sl], B[sl], C[sl])), return_inverse=True)
+        table = (np.multiply.outer(vals, neg_units) % m).astype(dtype)
+        a, b, c = np.split(table[idx], 3)  # a[t, v] = [-vA_t]_m
+        S = np.ascontiguousarray(((c <= a) | (c <= b)).T)
+        ok = np.concatenate([
+            S[start : start + count * size].reshape(count, size, -1).all(axis=1)
+            for start, count, size in classes
+        ])
+        for dst, src in steps:
+            ok[dst] &= ok[src]
+        out[sl] = weights @ ok
+    return out
 
 
 def density(params: HGParams) -> Fraction:

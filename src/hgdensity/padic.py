@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import HGParams, mod_order
+from .arith import HGParams, is_prime, mod_order
 from .errors import HypothesisError, PrimeTooSmall
 
 
@@ -60,12 +60,26 @@ class DigitExpansion:
         return Fraction(s, 1 - p**M)
 
 
+def _check_prime(p: int):
+    """ValueError for p < 2, HypothesisError for a composite p."""
+    if p < 2:
+        raise ValueError(f"p={p} must be a prime >= 2")
+    if not is_prime(p):
+        raise HypothesisError(f"p={p} is not prime")
+
+
 def padic_digits(a_minus_1: Fraction, p: int) -> DigitExpansion:
     """Expansion of a - 1 (with a in (0,1)) by iterated p-adic division.
 
     Digit j is the unique d in [0, p-1] with (x - d)/p p-integral; one full
     period of length M = ord(p mod den) is returned.
     """
+    _check_prime(p)
+    return _expansion(a_minus_1, p)
+
+
+def _expansion(a_minus_1: Fraction, p: int) -> DigitExpansion:
+    """:func:`padic_digits` for a p already known to be prime."""
     if not (-1 < a_minus_1 < 0):
         raise HypothesisError(f"{a_minus_1} must lie in (-1, 0)")
     den = a_minus_1.denominator
@@ -90,6 +104,7 @@ def digits_by_formula(a: Fraction, p: int) -> tuple[int, ...]:
     Kept as a second, independent route to the same digits; property tests
     pin it against :func:`padic_digits`.
     """
+    _check_prime(p)
     den = a.denominator
     if den % p == 0:
         raise HypothesisError(f"p={p} divides the denominator of {a}")
@@ -119,13 +134,14 @@ def digit_bounded(params: HGParams, p: int) -> BoundednessVerdict:
     The three expansions are compared over the common period
     M = ord(p mod m); each individual period divides M.
     """
+    _check_prime(p)
     m = params.m
     if p <= m:
         raise PrimeTooSmall(f"p={p} must exceed the modulus m={m}")
     M = mod_order(p, m)
     seqs = []
     for v in (params.a, params.b, params.c):
-        exp = padic_digits(v - 1, p)
+        exp = _expansion(v - 1, p)
         assert M % exp.period == 0
         seqs.append((exp.digits * (M // exp.period)))
     da, db, dc = seqs
@@ -212,8 +228,11 @@ def empirical_bounded(params: HGParams, p: int, N: int) -> BoundednessVerdict:
     UNBOUNDED iff some valuation drops strictly below an earlier valuation
     that was already <= -1; unboundedness manifests as descending negative
     minima across p-power scales, while a bounded prime may keep a fixed
-    negative plateau.
+    negative plateau.  The prime is not checked here: sweeps call this once
+    per (triple, prime) pair with primes they drew from a sieve.
     """
+    if N < 1:
+        raise ValueError(f"N={N} must be >= 1: no coefficient would be examined")
     pos, deltas = _valuation_deltas(params, p, N)
     vals = np.cumsum(deltas)  # valuation right after each event
     if len(vals) == 0:

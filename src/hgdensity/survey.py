@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import sys
 from collections import Counter
@@ -18,8 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
 
+import numpy as np
+
 from .arith import euler_phi
-from .density import bounded_count
+# bounded_count is not called here; it stays importable from this module
+# because perfbench/probes.py rebinds survey.bounded_count for its spans
+from .density import bounded_count, bounded_counts  # noqa: F401
 
 MIN_HEIGHT = 3  # below this no triple with c != a, b exists
 
@@ -40,38 +43,52 @@ def enumerate_params(N: int):
     exactly once, in lexicographic order."""
     _check_height(N)
     fracs = fractions_up_to(N)
-    for a in fracs:
-        for b in fracs:
-            for c in fracs:
-                if c != a and c != b:
+    for i, a in enumerate(fracs):
+        for j, b in enumerate(fracs):
+            for k, c in enumerate(fracs):
+                if k != i and k != j:
                     yield (a, b, c)
 
 
-def _triple_density(a: Fraction, b: Fraction, c: Fraction) -> Fraction:
-    m = math.lcm(a.denominator, b.denominator, c.denominator)
-    n = bounded_count(m, int(a * m), int(b * m), int(c * m))
-    return Fraction(n, euler_phi(m))
-
-
-def _sweep_worker(args) -> tuple[Counter, Counter]:
-    """Densities over the pair slice idx, idx+K, ... of the (a, b) pairs
-    with a <= b; returns (counter over a != b weighted by 2, counter over a == b)."""
-    N, idx, num_workers = args
+def _modulus_batches(N: int) -> list[tuple]:
+    """The triples (a, b, c) of height <= N with a <= b and c != a, b,
+    grouped by their modulus m: one (m, A, B, C, equal) per modulus, where
+    A, B, C are the numerators of a, b, c over m and equal marks a == b."""
     fracs = fractions_up_to(N)
     n = len(fracs)
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    num = np.array([f.numerator for f in fracs], dtype=np.int64)
+    den = np.array([f.denominator for f in fracs], dtype=np.int64)
+    i, j = np.triu_indices(n)
+    i, j = np.repeat(i, n), np.repeat(j, n)
+    k = np.tile(np.arange(n), n * (n + 1) // 2)
+    keep = (k != i) & (k != j)
+    i, j, k = i[keep], j[keep], k[keep]
+    m = np.lcm(np.lcm(den[i], den[j]), den[k])
+    order = np.argsort(m, kind="stable")
+    moduli, first = np.unique(m[order], return_index=True)
+    batches = []
+    for mod, sel in zip(moduli.tolist(), np.split(order, first[1:])):
+        a, b, c = i[sel], j[sel], k[sel]
+        A, B, C = (num[x] * (mod // den[x]) for x in (a, b, c))
+        batches.append((mod, A, B, C, a == b))
+    return batches
+
+
+def _sweep_worker(batches: list[tuple]) -> tuple[Counter, Counter]:
+    """Densities over per-modulus batches of (a <= b, c) triples; returns
+    (counter over a != b weighted by 2, counter over a == b)."""
     distinct: Counter = Counter()
     equal_ab: Counter = Counter()
-    for i, j in pairs[idx::num_workers]:
-        a, b = fracs[i], fracs[j]
-        for c in fracs:
-            if c == a or c == b:
-                continue
-            d = _triple_density(a, b, c)
-            if i == j:
-                equal_ab[d] += 1
-            else:
-                distinct[d] += 2
+    for m, A, B, C, equal in batches:
+        sizes = bounded_counts(m, A, B, C)
+        phi = euler_phi(m)
+        for part, weight, counter in (
+            (sizes[~equal], 2, distinct),
+            (sizes[equal], 1, equal_ab),
+        ):
+            values, mult = np.unique(part, return_counts=True)
+            for v, c in zip(values.tolist(), mult.tolist()):
+                counter[Fraction(v, phi)] += weight * c
     return distinct, equal_ab
 
 
@@ -98,12 +115,14 @@ def survey_counts(N: int, workers: int = 1) -> SweepCounts:
     cached = _COUNT_CACHE.get(N)
     if cached is not None:
         return cached
-    jobs = [(N, i, workers) for i in range(workers)]
+    batches = _modulus_batches(N)
     if workers == 1:
-        parts = [_sweep_worker(jobs[0])]
+        parts = [_sweep_worker(batches)]
     else:
+        # dealing the moduli out in order of kernel cells balances the work
+        batches.sort(key=lambda bt: len(bt[3]) * euler_phi(bt[0]), reverse=True)
         with Pool(processes=workers) as pool:
-            parts = pool.map(_sweep_worker, jobs)
+            parts = pool.map(_sweep_worker, [batches[w::workers] for w in range(workers)])
     distinct: Counter = Counter()
     equal_ab: Counter = Counter()
     for d, e in parts:

@@ -13,8 +13,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .arith import HGParams, mod_order, primes_in_range
-from .density import _closure_members, _pointwise_members, zero_density_criterion
+from .density import (
+    _closure_members,
+    _pointwise_members,
+    bounded_counts,
+    zero_density_criterion,
+)
 from .padic import Verdict, empirical_bounded
 
 
@@ -44,15 +51,24 @@ def _prime_classes(m: int, lo: int, hi: int) -> dict[int, list[int]]:
 
 
 def _digit_check_tables(m: int, classes: dict[int, list[int]]):
-    """Per residue class u: (order M, powers u^0..u^(M-1) mod m)."""
+    """Per residue class u: the multipliers -u^(M-1-j) mod m for j < M,
+    where M is the order of u mod m."""
     tables = {}
     for u in classes:
         M = mod_order(u, m)
-        pows = [1] * M
-        for i in range(1, M):
-            pows[i] = pows[i - 1] * u % m
-        tables[u] = (M, pows)
+        tables[u] = [-pow(u, M - 1 - j, m) % m for j in range(M)]
     return tables
+
+
+def _digit_pairs(X: int, Y: int, Z: int, m: int, mults: list[int]):
+    """Digit numerators (C_j, E_j), j < M, of (X/m, Y/m; Z/m) at the primes
+    p of one residue class, whose multipliers ``mults`` are -p^(M-1-j) mod m.
+
+    Digit j of c - 1 is C_j p // m, and E_j is the larger of the numerators
+    of a and b; floor is monotone, so max(a_j, b_j) = E_j p // m and the
+    digit criterion holds at p iff C_j p // m <= E_j p // m for every j.
+    """
+    return [(w * Z % m, max(w * X % m, w * Y % m)) for w in mults]
 
 
 def digit_residue_mismatches(m: int, prime_limit: int = 500) -> list[tuple]:
@@ -70,14 +86,7 @@ def digit_residue_mismatches(m: int, prime_limit: int = 500) -> list[tuple]:
     for X, Y, Z in params_with_modulus(m):
         in_b = set(_closure_members(m, *_pointwise_members(m, X, Y, Z)))
         for u, plist in classes.items():
-            M, pows = tables[u]
-            # E_j = max of the two numerator sequences; floor is monotone so
-            # max of the digit floors equals the floor of the max
-            seq = [
-                ((-pows[M - 1 - j] * Z) % m, max((-pows[M - 1 - j] * X) % m,
-                                                 (-pows[M - 1 - j] * Y) % m))
-                for j in range(M)
-            ]
+            seq = _digit_pairs(X, Y, Z, m, tables[u])
             expected = u in in_b
             for p in plist:
                 bounded = all(C * p // m <= E * p // m for C, E in seq)
@@ -99,12 +108,7 @@ def empirical_digit_mismatches(m: int, prime_limit: int = 50) -> list[tuple]:
     for X, Y, Z in params_with_modulus(m):
         params = HGParams(Fraction(X, m), Fraction(Y, m), Fraction(Z, m))
         for u, plist in classes.items():
-            M, pows = tables[u]
-            seq = [
-                ((-pows[M - 1 - j] * Z) % m, max((-pows[M - 1 - j] * X) % m,
-                                                 (-pows[M - 1 - j] * Y) % m))
-                for j in range(M)
-            ]
+            seq = _digit_pairs(X, Y, Z, m, tables[u])
             for p in plist:
                 digit_verdict = all(C * p // m <= E * p // m for C, E in seq)
                 empirical = empirical_bounded(params, p, p**3)
@@ -115,9 +119,10 @@ def empirical_digit_mismatches(m: int, prime_limit: int = 50) -> list[tuple]:
 
 def zero_density_mismatches(m: int) -> list[tuple]:
     """Triples of modulus m where (density == 0) != (c strictly smallest)."""
+    triples = list(params_with_modulus(m))
+    sizes = bounded_counts(m, *np.array(triples, dtype=np.int64).reshape(-1, 3).T)
     mismatches = []
-    for X, Y, Z in params_with_modulus(m):
-        b_size = len(_closure_members(m, *_pointwise_members(m, X, Y, Z)))
+    for (X, Y, Z), b_size in zip(triples, sizes.tolist()):
         params = HGParams(Fraction(X, m), Fraction(Y, m), Fraction(Z, m))
         if (b_size == 0) != zero_density_criterion(params):
             mismatches.append((X, Y, Z))

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from hgdensity.cli import main
 
 
@@ -132,6 +134,21 @@ def test_exit_code_usage_error(capsys):
     assert code == 2 or code == 1  # 13 = 1 mod 4: invalid argument
     code, _, err = run(capsys, "digits", "3/2", "13")
     assert code in (1, 2)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["digits", "8/11", "0"], 2),
+        (["digits", "8/11", "4"], 1),
+        (["bounded", "1/3", "1/3", "2/3", "25"], 1),
+        (["bounded", "1/3", "1/3", "2/3", "7", "--empirical", "0"], 2),
+    ],
+)
+def test_invalid_prime_or_horizon_exit_codes(capsys, argv, code):
+    got, out, err = run(capsys, *argv)
+    assert got == code and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_malformed_fraction_is_usage_error(capsys):

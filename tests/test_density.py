@@ -5,12 +5,16 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hgdensity.arith import normalize_params
 from hgdensity.density import (
     DensityRecord,
     DivisorAntichain,
+    _closure_members,
+    _pointwise_members,
+    bounded_counts,
     bounded_prime_test,
     bounded_residues,
     density,
@@ -182,3 +186,39 @@ def test_digit_residue_equivalence_small_moduli():
     # the full m <= 30, p < 500 run is an acceptance test; spot it here
     for m in (3, 5, 8, 12):
         assert verify.digit_residue_mismatches(m, prime_limit=120) == []
+
+
+def _batch(m):
+    return np.array(list(verify.params_with_modulus(m)), dtype=np.int64).T
+
+
+def test_bounded_counts_match_closure_walk():
+    # every triple of modulus 3..30 against the per-triple cycle walk
+    for m in range(3, 31):
+        X, Y, Z = _batch(m)
+        want = [
+            len(_closure_members(m, *_pointwise_members(m, x, y, z)))
+            for x, y, z in zip(X.tolist(), Y.tolist(), Z.tolist())
+        ]
+        assert bounded_counts(m, X, Y, Z).tolist() == want, m
+
+
+def test_bounded_counts_chunking_is_invisible(monkeypatch):
+    import sys
+
+    kernel = sys.modules["hgdensity.density"]
+    batches = {m: _batch(m) for m in (12, 15, 20)}
+    whole = {m: bounded_counts(m, *batch) for m, batch in batches.items()}
+    # 7 cells: one triple per chunk at every modulus here; 100: a few, with
+    # a shorter last chunk
+    for cap in (7, 100):
+        monkeypatch.setattr(kernel, "_KERNEL_CELLS", cap)
+        for m, batch in batches.items():
+            assert np.array_equal(bounded_counts(m, *batch), whole[m]), (cap, m)
+
+
+def test_bounded_counts_empty_and_ragged_batches():
+    got = bounded_counts(12, [], [], [])
+    assert got.shape == (0,) and got.dtype == np.int64
+    with pytest.raises(ValueError, match="one length"):
+        bounded_counts(12, [1, 5], [7], [11, 1])

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hgdensity.arith import mod_order, normalize_params, primes_up_to
-from hgdensity.errors import PrimeTooSmall
+from hgdensity.errors import HypothesisError, PrimeTooSmall
 from hgdensity.padic import (
     Verdict,
     coefficient_valuations,
@@ -158,3 +158,32 @@ def test_empirical_detection_threshold_is_a_digit_position():
     assert digit_bounded(pr, 13).kind is Verdict.UNBOUNDED
     assert digit_bounded(pr, 13).witness == 3
     assert empirical_bounded(pr, 13, 13**3).kind is Verdict.BOUNDED
+
+
+@pytest.mark.parametrize("p", [0, 1, -5])
+def test_prime_below_two_is_a_value_error(p):
+    calls = [
+        lambda: padic_digits(Fraction(-3, 11), p),
+        lambda: digits_by_formula(Fraction(8, 11), p),
+        lambda: digit_bounded(params("1/3", "1/3", "2/3"), p),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="prime >= 2") as exc:
+            call()
+        assert not isinstance(exc.value, HypothesisError)
+
+
+@pytest.mark.parametrize("p", [4, 25, 91])
+def test_composite_prime_is_a_hypothesis_error(p):
+    with pytest.raises(HypothesisError, match="not prime"):
+        padic_digits(Fraction(-3, 11), p)
+    with pytest.raises(HypothesisError, match="not prime"):
+        digits_by_formula(Fraction(8, 11), p)
+    with pytest.raises(HypothesisError, match="not prime"):
+        digit_bounded(params("1/3", "1/3", "2/3"), p)
+
+
+@pytest.mark.parametrize("N", [0, -1])
+def test_empirical_bounded_needs_a_coefficient(N):
+    with pytest.raises(ValueError, match="N="):
+        empirical_bounded(params("1/3", "1/3", "2/3"), 7, N)

@@ -1,5 +1,6 @@
 """Height-bounded parameter sweeps, histograms, and beta proportions."""
 
+import hashlib
 import io
 import math
 import os
@@ -201,3 +202,21 @@ def test_dry_run_resume_equivalence(tmp_path):
     resumed = survey.slice_dry_run(8, stride=7, checkpoint=ck, chunk=2000)
     assert resumed.completed
     assert (resumed.sampled, resumed.valid) == (full.sampled, full.valid)
+
+
+def test_height_12_csv_matches_reference_digest():
+    # sha256 of the `sweep 12` histogram CSV, captured from the per-triple
+    # code that this batched sweep replaced (perfbench/refs/sweep.json)
+    survey._COUNT_CACHE.clear()
+    buf = io.StringIO()
+    survey.histogram_csv(survey.density_histogram(12), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+        "0891829e656518d4f10f226319fd1cafc01047ba5b531d6ed2a308ef875bc1cb"
+    )
+
+
+def test_sweep_split_across_workers_at_8():
+    one = fresh_counts(8, workers=1)
+    two = fresh_counts(8, workers=2)
+    assert one.distinct == two.distinct
+    assert one.equal_ab == two.equal_ab

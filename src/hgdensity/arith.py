@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import IntegralParameter, NotAUnit
 
 log = logging.getLogger(__name__)
-
-# brute-force order computation below this modulus, phi-descent above
-_ORDER_BRUTE_LIMIT = 10**4
 
 
 def frac_part(q: Fraction) -> Fraction:
@@ -65,23 +65,16 @@ def euler_phi(m: int) -> int:
 
 
 def mod_order(u: int, m: int) -> int:
-    """Multiplicative order of u modulo m.
+    """Multiplicative order of u modulo m >= 2.
 
-    Brute-force repeated multiplication for small m; for large m, start
-    from phi(m) and descend through its prime factors.
+    The order divides phi(m): start from phi(m) and divide out each prime
+    factor for as long as u to the smaller exponent is still 1.
     """
     if m < 2:
         raise ValueError(f"order requires modulus >= 2, got {m}")
     u %= m
     if math.gcd(u, m) != 1:
         raise NotAUnit(f"{u} is not a unit mod {m}")
-    if m < _ORDER_BRUTE_LIMIT:
-        k = 1
-        w = u
-        while w != 1:
-            w = w * u % m
-            k += 1
-        return k
     k = euler_phi(m)
     for p, _ in factorize(k):
         while k % p == 0 and pow(u, k // p, m) == 1:
@@ -198,7 +191,9 @@ class ResidueSet:
                 raise ValueError(f"{u} is not a unit in [1, {self.modulus - 1}]")
 
     def __contains__(self, u: int) -> bool:
-        return u % self.modulus in set(self.members)
+        u %= self.modulus
+        i = bisect_left(self.members, u)
+        return i < len(self.members) and self.members[i] == u
 
     def __iter__(self):
         return iter(self.members)
@@ -207,8 +202,14 @@ class ResidueSet:
         return len(self.members)
 
 
+def unit_mask(m: int) -> np.ndarray:
+    """Length-m boolean sieve, true at the units of Z/mZ (at 0 for m = 1)."""
+    mask = np.ones(m, dtype=bool)
+    for p, _ in factorize(m):
+        mask[::p] = False
+    return mask
+
+
 def units_mod(m: int) -> list[int]:
-    """The units of Z/mZ in increasing order."""
-    if m == 1:
-        return [0]
-    return [u for u in range(1, m) if math.gcd(u, m) == 1]
+    """The units of Z/mZ in increasing order, from :func:`unit_mask`."""
+    return np.flatnonzero(unit_mask(m)).tolist()

@@ -12,25 +12,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
-from .arith import HGParams, ResidueSet, euler_phi, factorize, is_prime, units_mod
+from .arith import (HGParams, ResidueSet, euler_phi, factorize, is_prime, unit_mask,
+                    units_mod)
 from .errors import HypothesisError, PrimeTooSmall
 
-# bounded_counts evaluates at most this many (triple, unit) cells at once,
-# which bounds its temporaries to a few arrays of this many entries
+# the subgroup kernel evaluates at most this many (triple, unit) cells at
+# once, which bounds its temporaries to a few arrays of this many entries
 _KERNEL_CELLS = 1 << 16
-# per-modulus unit arrays for the vectorized pointwise-set computation
-_UNITS_NP: dict[int, np.ndarray] = {}
-
-
-def _units_np(m: int) -> np.ndarray:
-    arr = _UNITS_NP.get(m)
-    if arr is None:
-        arr = np.array(units_mod(m), dtype=np.int64)
-        _UNITS_NP[m] = arr
-    return arr
 
 
 def pointwise_condition(params: HGParams, v: int) -> bool:
@@ -48,56 +40,38 @@ def pointwise_condition(params: HGParams, v: int) -> bool:
     return (-v * C) % m <= max((-v * A) % m, (-v * B) % m)
 
 
-def _pointwise_members(m: int, A: int, B: int, C: int):
-    """Units v mod m with [-vC]_m <= max([-vA]_m, [-vB]_m).
+def _cycle_walk(m: int, A: int, B: int, C: int) -> list[int]:
+    """B for the single triple (A/m, B/m; C/m), in increasing order.
 
-    Returns (passing unit list, membership bool array of size m).
+    S holds the units v with [-vC]_m <= max([-vA]_m, [-vB]_m); a unit u is
+    in B when its whole cyclic subgroup <u> lies inside S.  A walk over the
+    powers of u that closes inside S puts every power it met into B, since
+    each of them generates a subgroup of <u>; those are not walked again.
     """
-    units = _units_np(m)
-    mask = (-units * C) % m <= np.maximum((-units * A) % m, (-units * B) % m)
-    passing = units[mask]
-    in_s = np.zeros(m, dtype=bool)
-    in_s[passing] = True
-    return passing.tolist(), in_s
-
-
-def _closure_members(m: int, S: list[int], in_s) -> list[int]:
-    """Units u whose full cyclic subgroup <u> lies inside S."""
-    verdict: dict[int, bool] = {}
-    out = []
-    for u in S:
-        known = verdict.get(u)
-        if known is not None:
-            if known:
-                out.append(u)
+    units = np.flatnonzero(unit_mask(m))
+    S = units[(-units * C) % m <= np.maximum((-units * A) % m, (-units * B) % m)]
+    mask = np.zeros(m, dtype=bool)
+    mask[S] = True
+    in_s = mask.tobytes()  # indexing bytes is cheaper than indexing an array
+    in_b: set[int] = set()
+    for u in S.tolist():
+        if u in in_b:
             continue
-        cycle = []
-        w = u
-        ok = True
-        while True:
-            if not in_s[w]:
-                ok = False
-                break
+        cycle = [u]
+        w = u * u % m
+        while w != u and in_s[w]:
             cycle.append(w)
             w = w * u % m
-            if w == u:
-                break
-        if ok:
-            for x in cycle:
-                verdict[x] = True
-            out.append(u)
-        else:
-            verdict[u] = False
-    return sorted(out)
+        if w == u:
+            in_b.update(cycle)
+    return sorted(in_b)
 
 
 def bounded_residues(params: HGParams) -> ResidueSet:
     """B(a,b;c): units whose every power satisfies the pointwise condition."""
     m = params.m
-    S, in_s = _pointwise_members(
-        m, int(params.a * m), int(params.b * m), int(params.c * m)
-    )
-    return ResidueSet(modulus=m, members=tuple(_closure_members(m, S, in_s)))
+    members = _cycle_walk(m, int(params.a * m), int(params.b * m), int(params.c * m))
+    return ResidueSet(modulus=m, members=tuple(members))
 
 
 def bounded_count(m: int, A: int, B: int, C: int) -> int:
@@ -107,23 +81,33 @@ def bounded_count(m: int, A: int, B: int, C: int) -> int:
     modulus go through :func:`bounded_counts`, whose per-modulus plan costs
     more than the walk when it serves a single triple.
     """
-    return len(_closure_members(m, *_pointwise_members(m, A, B, C)))
+    return len(_cycle_walk(m, A, B, C))
 
 
-def _subgroup_plan(m: int):
-    """The cyclic subgroups of (Z/m)^*, laid out for :func:`bounded_counts`.
+class _Plan(NamedTuple):
+    """The cyclic subgroups of (Z/m)^*, laid out for the subgroup kernel.
 
-    Returns ``(neg_units, classes, weights, steps)``.  Kernel row r stands
-    for the unit ``m - neg_units[r]``.  Rows are grouped by the cyclic
-    subgroup they generate, and subgroups by their number of generators:
-    each ``(start, count, size)`` in ``classes`` covers ``count`` subgroups
-    with ``size`` generators each, in rows ``start : start + count * size``.
-    ``weights[h] = phi(|H_h|)`` is the generator count of subgroup h in that
-    order.  ``steps`` lists, level by level in Omega(|H|), index arrays
-    ``(dst, src)`` pairing subgroups H of that level with one maximal
-    subgroup H^l each (l a prime dividing |H|); every such pair occurs in
-    exactly one step and no H occurs twice in a step.
+    Kernel row r stands for the unit ``m - neg_units[r]``.  Rows are grouped
+    by the cyclic subgroup they generate, and subgroups by their number of
+    generators: each ``(start, count, size)`` in ``classes`` covers ``count``
+    subgroups with ``size`` generators each, in rows
+    ``start : start + count * size``.  ``weights[h] = phi(|H_h|)`` is the
+    generator count of subgroup h in that order.  ``steps`` lists, level by
+    level in Omega(|H|), index arrays ``(dst, src)`` pairing subgroups H of
+    that level with one maximal subgroup H^l each (l a prime dividing |H|);
+    every such pair occurs in exactly one step and no H occurs twice in a
+    step.  ``column[u]`` is the subgroup that u generates, -1 for non-units.
     """
+
+    neg_units: np.ndarray
+    classes: list
+    weights: np.ndarray
+    steps: list
+    column: np.ndarray
+
+
+def _subgroup_plan(m: int) -> _Plan:
+    """The cyclic subgroups of (Z/m)^* and their maximal subgroups."""
     sub_of: dict[int, int] = {}  # unit -> index of the subgroup it generates
     gens: list[list[int]] = []
     maximal: list[list[int]] = []  # per subgroup, u^l for each prime l | |H|
@@ -158,48 +142,78 @@ def _subgroup_plan(m: int):
             pairs = [(rank[h], rank[sub_of[maximal[h][j]]])
                      for h in tier if len(maximal[h]) > j]
             steps.append(tuple(np.array(side, dtype=np.intp) for side in zip(*pairs)))
-    return neg_units, classes, weights, steps
+    column = np.full(m, -1, dtype=np.intp)
+    column[m - neg_units] = np.repeat(np.arange(len(weights)), weights)
+    return _Plan(neg_units, classes, weights, steps, column)
 
 
-def bounded_counts(m: int, A, B, C) -> np.ndarray:
-    """|B| for each triple (A[t]/m, B[t]/m; C[t]/m) of one modulus m.
+def _subgroup_chunks(m: int, A, B, C):
+    """Yield ``(chunk slice, ok, plan)`` over the triples of one modulus m.
 
     B is the union of the cyclic subgroups H of (Z/m)^* with H inside the
-    pointwise set S, and every unit generates exactly one cyclic subgroup,
-    so |B| = sum of phi(|H|) over the H inside S.  Every element of a cyclic
-    group H either generates H or lies in one of its maximal subgroups H^l,
-    l a prime dividing |H|.  Hence H lies inside S exactly when all of its
-    generators do and all of its H^l lie inside S, which the kernel
-    resolves level by level in Omega(|H|), from the trivial group up: one
-    AND over the generator rows of S per subgroup, then one AND per
-    (H, H^l) pair.  Triples are processed in chunks of at most
-    ``_KERNEL_CELLS`` (triple, unit) cells; within a chunk, [-vX]_m is
-    computed once per distinct numerator X and gathered per triple.
-    The numerators are expected in [0, m).
+    pointwise set S.  Every element of a cyclic group H either generates H
+    or lies in one of its maximal subgroups H^l, l a prime dividing |H|.
+    Hence H lies inside S exactly when all of its generators do and all of
+    its H^l lie inside S, which the kernel resolves level by level in
+    Omega(|H|), from the trivial group up: one AND over the generator rows
+    of S per subgroup, then one AND per (H, H^l) pair.  ``ok[h, t]`` says
+    whether subgroup h of ``plan`` lies inside S for triple t of the chunk.
+    Chunks hold at most ``_KERNEL_CELLS`` (triple, unit) cells; within a
+    chunk, [-vX]_m is computed once per distinct numerator X and gathered
+    per triple.  The numerators are expected in [0, m).
     """
     A, B, C = (np.asarray(x, dtype=np.int64) for x in (A, B, C))
     if not A.shape == B.shape == C.shape == (len(C),):
         raise ValueError(f"A, B, C must be 1-d of one length, got "
                          f"{A.shape}, {B.shape}, {C.shape}")
-    out = np.empty(len(C), dtype=np.int64)
     if len(C) == 0:
-        return out
-    neg_units, classes, weights, steps = _subgroup_plan(m)
-    rows = max(1, _KERNEL_CELLS // len(neg_units))
+        return
+    plan = _subgroup_plan(m)
+    rows = max(1, _KERNEL_CELLS // len(plan.neg_units))
     dtype = np.min_scalar_type(m)
     for lo in range(0, len(C), rows):
         sl = slice(lo, lo + rows)
         vals, idx = np.unique(np.concatenate((A[sl], B[sl], C[sl])), return_inverse=True)
-        table = (np.multiply.outer(vals, neg_units) % m).astype(dtype)
+        table = (np.multiply.outer(vals, plan.neg_units) % m).astype(dtype)
         a, b, c = np.split(table[idx], 3)  # a[t, v] = [-vA_t]_m
         S = np.ascontiguousarray(((c <= a) | (c <= b)).T)
         ok = np.concatenate([
             S[start : start + count * size].reshape(count, size, -1).all(axis=1)
-            for start, count, size in classes
+            for start, count, size in plan.classes
         ])
-        for dst, src in steps:
+        for dst, src in plan.steps:
             ok[dst] &= ok[src]
-        out[sl] = weights @ ok
+        yield sl, ok, plan
+
+
+def bounded_counts(m: int, A, B, C) -> np.ndarray:
+    """|B| for each triple (A[t]/m, B[t]/m; C[t]/m) of one modulus m.
+
+    Every unit generates exactly one cyclic subgroup, so |B| is the sum of
+    phi(|H|) over the cyclic subgroups H inside S.  The numerators are
+    expected in [0, m).
+    """
+    out = np.empty(len(C), dtype=np.int64)
+    for sl, ok, plan in _subgroup_chunks(m, A, B, C):
+        out[sl] = plan.weights @ ok
+    return out
+
+
+def bounded_members(m: int, A, B, C, units) -> np.ndarray:
+    """``out[t, k]``: is ``units[k] mod m`` in B for the triple t?
+
+    The triples are (A[t]/m, B[t]/m; C[t]/m) of one modulus m, numerators
+    in [0, m), and a unit u lies in B exactly when the cyclic subgroup it
+    generates lies inside S.  ``units`` may be any integers prime to m, such
+    as primes p > m.
+    """
+    units = np.asarray(units, dtype=np.int64)
+    if units.ndim != 1 or (np.gcd(units, m) != 1).any():
+        raise ValueError(f"units must be a 1-d array of integers prime to {m}")
+    out = np.empty((len(C), len(units)), dtype=bool)
+    for sl, ok, plan in _subgroup_chunks(m, A, B, C):
+        # mode="clip" (the columns are checked above) writes out unbuffered
+        np.take(ok, plan.column[units % m], axis=0, out=out[sl].T, mode="clip")
     return out
 
 

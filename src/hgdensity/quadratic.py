@@ -9,6 +9,7 @@ restricted Legendre-symbol interval sums.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -90,7 +91,9 @@ class ModpSet:
                 raise ValueError(f"{y} outside [1, {self.p - 1}]")
 
     def __contains__(self, y):
-        return y % self.p in set(self.members)
+        y %= self.p
+        i = bisect_left(self.members, y)
+        return i < len(self.members) and self.members[i] == y
 
     def __iter__(self):
         return iter(self.members)

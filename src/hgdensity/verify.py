@@ -1,27 +1,22 @@
 """Bulk cross-checks between the digit criterion and the residue-class formula.
 
-These helpers drive the exhaustive verification sweeps: for every parameter
-triple of a given modulus they compare, prime by prime, the per-prime digit
-inequality against membership of p mod m in the bounded-residue set, and the
-empirical coefficient-valuation verdict against the digit verdict.  They are
-written to be cheap enough for exhaustive runs over every modulus m <= 30
-and are safe to fan out across processes (one task per modulus).
+Each sweep covers every parameter triple of one modulus m: the digit
+criterion is evaluated for all triples at once, one prime at a time, and B
+comes from one batched :mod:`density` kernel call per modulus.  Mismatches
+are returned as tuples of Python ints in (X, Y, Z, p) order.  The sweeps are
+cheap enough for every modulus m <= 30 and safe to fan out across processes.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
 from .arith import HGParams, mod_order, primes_in_range
-from .density import (
-    _closure_members,
-    _pointwise_members,
-    bounded_counts,
-    zero_density_criterion,
-)
+from .density import bounded_counts, bounded_members
 from .padic import Verdict, empirical_bounded
 
 
@@ -42,33 +37,26 @@ def params_with_modulus(m: int):
                     yield X, Y, Z
 
 
-def _prime_classes(m: int, lo: int, hi: int) -> dict[int, list[int]]:
-    """Primes lo < p < hi grouped by residue class mod m."""
-    classes: dict[int, list[int]] = {}
-    for p in primes_in_range(lo, hi):
-        classes.setdefault(p % m, []).append(p)
-    return classes
+def _triple_arrays(m: int):
+    """The triples of :func:`params_with_modulus` as three int64 arrays."""
+    flat = chain.from_iterable(params_with_modulus(m))
+    return np.fromiter(flat, dtype=np.int64).reshape(-1, 3).T
 
 
-def _digit_check_tables(m: int, classes: dict[int, list[int]]):
-    """Per residue class u: the multipliers -u^(M-1-j) mod m for j < M,
-    where M is the order of u mod m."""
-    tables = {}
-    for u in classes:
-        M = mod_order(u, m)
-        tables[u] = [-pow(u, M - 1 - j, m) % m for j in range(M)]
-    return tables
+def _digit_bounded(m: int, X, Y, Z, p: int) -> np.ndarray:
+    """The digit criterion at the prime p > m for every triple (X/m, Y/m; Z/m).
 
-
-def _digit_pairs(X: int, Y: int, Z: int, m: int, mults: list[int]):
-    """Digit numerators (C_j, E_j), j < M, of (X/m, Y/m; Z/m) at the primes
-    p of one residue class, whose multipliers ``mults`` are -p^(M-1-j) mod m.
-
-    Digit j of c - 1 is C_j p // m, and E_j is the larger of the numerators
-    of a and b; floor is monotone, so max(a_j, b_j) = E_j p // m and the
-    digit criterion holds at p iff C_j p // m <= E_j p // m for every j.
+    With M the order of p mod m and w_j = -p^(M-1-j) mod m, digit j of
+    c - 1 is (w_j Z mod m) p // m, and likewise for a and b.  Floor is
+    monotone, so max(a_j, b_j) = max(w_j X mod m, w_j Y mod m) p // m, and p
+    is bounded iff c_j <= max(a_j, b_j) for every j < M.
     """
-    return [(w * Z % m, max(w * X % m, w * Y % m)) for w in mults]
+    M = mod_order(p, m)
+    ok = np.ones(len(Z), dtype=bool)
+    for j in range(M):
+        w = -pow(p, M - 1 - j, m) % m
+        ok &= (w * Z % m) * p // m <= np.maximum(w * X % m, w * Y % m) * p // m
+    return ok
 
 
 def digit_residue_mismatches(m: int, prime_limit: int = 500) -> list[tuple]:
@@ -80,19 +68,14 @@ def digit_residue_mismatches(m: int, prime_limit: int = 500) -> list[tuple]:
     verdict with membership of p mod m in B.  Returns all mismatches as
     (X, Y, Z, p) tuples; an empty list means full agreement.
     """
-    classes = _prime_classes(m, m, prime_limit)
-    tables = _digit_check_tables(m, classes)
+    X, Y, Z = _triple_arrays(m)
+    primes = primes_in_range(m, prime_limit)
+    in_b = bounded_members(m, X, Y, Z, primes)
     mismatches = []
-    for X, Y, Z in params_with_modulus(m):
-        in_b = set(_closure_members(m, *_pointwise_members(m, X, Y, Z)))
-        for u, plist in classes.items():
-            seq = _digit_pairs(X, Y, Z, m, tables[u])
-            expected = u in in_b
-            for p in plist:
-                bounded = all(C * p // m <= E * p // m for C, E in seq)
-                if bounded != expected:
-                    mismatches.append((X, Y, Z, p))
-    return mismatches
+    for k, p in enumerate(primes):
+        t = np.flatnonzero(_digit_bounded(m, X, Y, Z, p) != in_b[:, k])
+        mismatches += zip(X[t].tolist(), Y[t].tolist(), Z[t].tolist(), [p] * len(t))
+    return sorted(mismatches)
 
 
 def empirical_digit_mismatches(m: int, prime_limit: int = 50) -> list[tuple]:
@@ -102,28 +85,24 @@ def empirical_digit_mismatches(m: int, prime_limit: int = 50) -> list[tuple]:
     empirical_bounded(params, p, p^3) over actual coefficient valuations
     with the digit-criterion verdict.  Returns mismatching (X, Y, Z, p).
     """
-    classes = _prime_classes(m, m, prime_limit)
-    tables = _digit_check_tables(m, classes)
+    X, Y, Z = _triple_arrays(m)
+    triples = list(zip(X.tolist(), Y.tolist(), Z.tolist()))
+    params = [HGParams(*(Fraction(n, m) for n in t)) for t in triples]
     mismatches = []
-    for X, Y, Z in params_with_modulus(m):
-        params = HGParams(Fraction(X, m), Fraction(Y, m), Fraction(Z, m))
-        for u, plist in classes.items():
-            seq = _digit_pairs(X, Y, Z, m, tables[u])
-            for p in plist:
-                digit_verdict = all(C * p // m <= E * p // m for C, E in seq)
-                empirical = empirical_bounded(params, p, p**3)
-                if (empirical.kind is Verdict.BOUNDED) != digit_verdict:
-                    mismatches.append((X, Y, Z, p))
-    return mismatches
+    for p in primes_in_range(m, prime_limit):
+        digit = _digit_bounded(m, X, Y, Z, p).tolist()
+        for triple, hg, bounded in zip(triples, params, digit):
+            if (empirical_bounded(hg, p, p**3).kind is Verdict.BOUNDED) != bounded:
+                mismatches.append((*triple, p))
+    return sorted(mismatches)
 
 
 def zero_density_mismatches(m: int) -> list[tuple]:
-    """Triples of modulus m where (density == 0) != (c strictly smallest)."""
-    triples = list(params_with_modulus(m))
-    sizes = bounded_counts(m, *np.array(triples, dtype=np.int64).reshape(-1, 3).T)
-    mismatches = []
-    for (X, Y, Z), b_size in zip(triples, sizes.tolist()):
-        params = HGParams(Fraction(X, m), Fraction(Y, m), Fraction(Z, m))
-        if (b_size == 0) != zero_density_criterion(params):
-            mismatches.append((X, Y, Z))
-    return mismatches
+    """Triples of modulus m where (density == 0) != (c strictly smallest).
+
+    On the numerators, c is strictly the smallest parameter exactly when
+    Z < X and Z < Y, the form :func:`density.zero_density_criterion` takes.
+    """
+    X, Y, Z = _triple_arrays(m)
+    bad = (bounded_counts(m, X, Y, Z) == 0) != ((Z < X) & (Z < Y))
+    return list(zip(X[bad].tolist(), Y[bad].tolist(), Z[bad].tolist()))

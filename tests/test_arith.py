@@ -81,8 +81,9 @@ def test_mod_order_divides_phi():
 
 
 def test_mod_order_large_modulus_path():
-    # above the brute-force cutoff the order is found by descending phi
-    m = 10007 * 2  # 20014 > 10^4
+    # the phi-descent at a modulus with a large prime factor: the order is
+    # minimal, since no prime factor of it can be divided out
+    m = 10007 * 2
     for u in (3, 5, 20013):
         k = mod_order(u, m)
         assert pow(u, k, m) == 1
@@ -137,6 +138,22 @@ def test_residue_set_validation():
     assert list(rs.members) == [1, 5, 7]
     with pytest.raises(ValueError):
         ResidueSet(modulus=12, members=(1, 4))
+
+
+def test_residue_set_membership_reduces_mod_modulus():
+    rs = ResidueSet(modulus=12, members=(11, 1, 7))
+    assert 7 in rs and 1 in rs and 11 in rs
+    assert 5 not in rs and 0 not in rs and 4 not in rs
+    # u >= modulus and negative u are reduced first
+    assert 19 in rs and 12 * 5 + 11 in rs and -1 in rs and -5 in rs
+    assert 17 not in rs and -7 not in rs and 12 not in rs
+    assert 1 not in ResidueSet(modulus=12, members=())
+
+
+def test_units_mod_matches_gcd():
+    assert units_mod(1) == [0]
+    for m in range(2, 300):
+        assert units_mod(m) == [u for u in range(1, m) if math.gcd(u, m) == 1]
 
 
 def test_is_prime_matches_sieve():

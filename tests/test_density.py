@@ -12,9 +12,9 @@ from hgdensity.arith import normalize_params
 from hgdensity.density import (
     DensityRecord,
     DivisorAntichain,
-    _closure_members,
-    _pointwise_members,
+    _cycle_walk,
     bounded_counts,
+    bounded_members,
     bounded_prime_test,
     bounded_residues,
     density,
@@ -24,7 +24,7 @@ from hgdensity.density import (
     subgroup_union_size,
     zero_density_criterion,
 )
-from hgdensity.arith import ResidueSet
+from hgdensity.arith import ResidueSet, units_mod
 from hgdensity.errors import HypothesisError, PrimeTooSmall
 from hgdensity.quadratic import quadratic_residues
 from hgdensity import verify
@@ -196,11 +196,16 @@ def test_bounded_counts_match_closure_walk():
     # every triple of modulus 3..30 against the per-triple cycle walk
     for m in range(3, 31):
         X, Y, Z = _batch(m)
-        want = [
-            len(_closure_members(m, *_pointwise_members(m, x, y, z)))
+        walks = [
+            _cycle_walk(m, x, y, z)
             for x, y, z in zip(X.tolist(), Y.tolist(), Z.tolist())
         ]
+        want = [len(walk) for walk in walks]
         assert bounded_counts(m, X, Y, Z).tolist() == want, m
+        units = np.array(units_mod(m))
+        members = bounded_members(m, X, Y, Z, units)
+        for row, walk in zip(members, walks):
+            assert units[row].tolist() == walk, m
 
 
 def test_bounded_counts_chunking_is_invisible(monkeypatch):
@@ -222,3 +227,19 @@ def test_bounded_counts_empty_and_ragged_batches():
     assert got.shape == (0,) and got.dtype == np.int64
     with pytest.raises(ValueError, match="one length"):
         bounded_counts(12, [1, 5], [7], [11, 1])
+
+
+def test_bounded_members_rejects_non_units_and_ragged_batches():
+    # column[u] is -1 for a non-unit u, which would select the last subgroup
+    for units in ([1, 2], [5, 12], [0], [[1, 5]]):
+        with pytest.raises(ValueError, match="prime to 12"):
+            bounded_members(12, [1], [5], [7], units)
+    with pytest.raises(ValueError, match="one length"):
+        bounded_members(12, [1, 5], [7], [11, 1], [1, 5])
+    # units are reduced mod m; empty batches keep their shape
+    assert np.array_equal(
+        bounded_members(12, [1, 5], [5, 1], [7, 7], [13, -11, 1]),
+        bounded_members(12, [1, 5], [5, 1], [7, 7], [1, 1, 1]),
+    )
+    assert bounded_members(12, [], [], [], [5, 7]).shape == (0, 2)
+    assert bounded_members(12, [1], [5], [7], []).shape == (1, 0)

@@ -83,6 +83,21 @@ def test_u_set_examples():
     assert set(u_set(2, 11).members) == {y for y in range(1, 11) if (2 * y) % 11 < y}
 
 
+def test_modp_set_membership_reduces_mod_p():
+    U = u_set(2, 11)  # {6, 7, 8, 9, 10}
+    assert 6 in U and 10 in U
+    assert 5 not in U and 1 not in U and 0 not in U
+    # y >= p and negative y are reduced first
+    assert 17 in U and 11 * 4 + 9 in U and -1 in U and -5 in U
+    assert 11 not in U and 16 not in U and -6 not in U
+    # every y in [-2p, 2p) against the definition
+    for p in ODD_PRIMES[:8]:
+        for x in range(2, p):
+            U = u_set(x, p)
+            for y in range(-2 * p, 2 * p):
+                assert (y in U) == (y % p != 0 and x * y % p < y % p), (x, p, y)
+
+
 def test_u_set_size_and_pairing():
     for p in ODD_PRIMES:
         for x in range(2, p):

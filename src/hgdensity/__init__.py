@@ -1,7 +1,5 @@
 """Exact densities of p-adically bounded primes for 2F1 hypergeometric series."""
 
-from fractions import Fraction
-
 from .arith import (
     HGParams,
     ResidueSet,
@@ -34,7 +32,6 @@ from .padic import (
 )
 
 __all__ = [
-    "Fraction",
     "HGParams",
     "ResidueSet",
     "DensityRecord",

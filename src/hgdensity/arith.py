@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import IntegralParameter, NotAUnit
+from .errors import HypothesisError, IntegralParameter, NotAUnit
 
 log = logging.getLogger(__name__)
 
@@ -108,6 +108,14 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def check_prime(p: int):
+    """ValueError for p < 2, HypothesisError for a composite p."""
+    if p < 2:
+        raise ValueError(f"p={p} must be a prime >= 2")
+    if not is_prime(p):
+        raise HypothesisError(f"p={p} is not prime")
 
 
 def primes_up_to(n: int) -> list[int]:

@@ -3,6 +3,10 @@
 For m the lcm of the parameter denominators, B(a,b;c) is the set of units
 u mod m whose whole cyclic subgroup satisfies the pointwise fractional-part
 condition; the density of bounded primes is |B| / phi(m), an exact fraction.
+
+``hgdensity.density`` is the function, not this module: the package
+re-exports the function under the module's name.  Reach the module with
+``importlib.import_module("hgdensity.density")``.
 """
 
 from __future__ import annotations

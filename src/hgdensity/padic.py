@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import HGParams, is_prime, mod_order
+from .arith import HGParams, check_prime, mod_order
 from .errors import HypothesisError, PrimeTooSmall
 
 
@@ -60,21 +60,13 @@ class DigitExpansion:
         return Fraction(s, 1 - p**M)
 
 
-def _check_prime(p: int):
-    """ValueError for p < 2, HypothesisError for a composite p."""
-    if p < 2:
-        raise ValueError(f"p={p} must be a prime >= 2")
-    if not is_prime(p):
-        raise HypothesisError(f"p={p} is not prime")
-
-
 def padic_digits(a_minus_1: Fraction, p: int) -> DigitExpansion:
     """Expansion of a - 1 (with a in (0,1)) by iterated p-adic division.
 
     Digit j is the unique d in [0, p-1] with (x - d)/p p-integral; one full
     period of length M = ord(p mod den) is returned.
     """
-    _check_prime(p)
+    check_prime(p)
     return _expansion(a_minus_1, p)
 
 
@@ -104,7 +96,7 @@ def digits_by_formula(a: Fraction, p: int) -> tuple[int, ...]:
     Kept as a second, independent route to the same digits; property tests
     pin it against :func:`padic_digits`.
     """
-    _check_prime(p)
+    check_prime(p)
     den = a.denominator
     if den % p == 0:
         raise HypothesisError(f"p={p} divides the denominator of {a}")
@@ -134,7 +126,7 @@ def digit_bounded(params: HGParams, p: int) -> BoundednessVerdict:
     The three expansions are compared over the common period
     M = ord(p mod m); each individual period divides M.
     """
-    _check_prime(p)
+    check_prime(p)
     m = params.m
     if p <= m:
         raise PrimeTooSmall(f"p={p} must exceed the modulus m={m}")
@@ -161,9 +153,6 @@ class ValuationProfile:
 
     def __post_init__(self):
         assert self.valuations[0] == 0, "constant coefficient is 1"
-
-    def min_over(self, n: int) -> int:
-        return min(self.valuations[: n + 1])
 
 
 def _ap_start(num: int, den: int, pk: int) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import is_prime
+from .arith import check_prime, is_prime
 from .errors import HypothesisError
 
 
@@ -104,6 +104,7 @@ class ModpSet:
 
 def u_set(x: int, p: int) -> ModpSet:
     """U_p(x) = {y in [1, p-1] : [xy]_p < [y]_p}."""
+    check_prime(p)
     if x % p == 0:
         raise HypothesisError(f"x={x} is 0 mod p={p}")
     x %= p
@@ -112,6 +113,7 @@ def u_set(x: int, p: int) -> ModpSet:
 
 def v_set(x: int, p: int) -> ModpSet:
     """V_p(x) = {y in [1, p-1] : [y]_p < [xy]_p}."""
+    check_prime(p)
     if x % p == 0:
         raise HypothesisError(f"x={x} is 0 mod p={p}")
     x %= p
@@ -120,6 +122,7 @@ def v_set(x: int, p: int) -> ModpSet:
 
 def w_set(x: int, p: int) -> ModpSet:
     """W_p(x) = U_p(x) intersected with the quadratic residues."""
+    check_prime(p)
     Q = quadratic_residues(p)
     return ModpSet(p=p, members=tuple(y for y in u_set(x, p) if y in Q))
 

@@ -46,15 +46,16 @@ def parse_special_prime(p: int) -> SpecialPrime | None:
 class BShape:
     """One of the possible forms of B over a special prime.
 
-    EMPTY; HALF(j) = <u^(q^j)> of density 1/(2 q^j); FULL(k) = <-u^(q^k)> of
-    density 1/q^k; UNION(j, k) with j < k, of density (q^(k-j)+1)/(2 q^k).
-    Here u generates the quadratic residues.
+    B is the union of the cyclic subgroups of the given orders: EMPTY; HALF(j),
+    order q^(r-j), density 1/(2 q^j); FULL(k), order 2 q^(r-k), density 1/q^k;
+    UNION(j, k) with j < k, both, density (q^(k-j)+1)/(2 q^k).
     """
 
     kind: str
     j: int | None
     k: int | None
     density: Fraction
+    orders: tuple[int, ...]
 
     def label(self) -> str:
         if self.kind == "EMPTY":
@@ -67,15 +68,16 @@ class BShape:
 
 
 def _shape(sp: SpecialPrime, j: int | None, k: int | None) -> BShape:
-    q = sp.q
+    q, r = sp.q, sp.r
     if j is None and k is None:
-        return BShape("EMPTY", None, None, Fraction(0))
+        return BShape("EMPTY", None, None, Fraction(0), ())
     if k is None:
-        return BShape("HALF", j, None, Fraction(1, 2 * q**j))
+        return BShape("HALF", j, None, Fraction(1, 2 * q**j), (q ** (r - j),))
     if j == k:
-        return BShape("FULL", None, k, Fraction(1, q**k))
+        return BShape("FULL", None, k, Fraction(1, q**k), (2 * q ** (r - k),))
     assert j is not None and j < k, f"impossible shape j={j}, k={k}"
-    return BShape("UNION", j, k, Fraction(q ** (k - j) + 1, 2 * q**k))
+    orders = (q ** (r - j), 2 * q ** (r - k))
+    return BShape("UNION", j, k, Fraction(q ** (k - j) + 1, 2 * q**k), orders)
 
 
 def enumerate_b_shapes(sp: SpecialPrime) -> list[BShape]:
@@ -101,34 +103,28 @@ def find_generator(p: int) -> int:
     raise RuntimeError(f"no generator found mod {p}")
 
 
-def _qr_generator(sp: SpecialPrime) -> int:
-    """An element of order q^r, generating the quadratic residues."""
-    g = find_generator(sp.p)
-    return g * g % sp.p
+def _lattice(p: int) -> tuple[np.ndarray, list[int]]:
+    """powers[k] = g^k for the least primitive root g, and the divisors of n = p - 1.
+
+    The unit group is cyclic, so its subgroup of order d | n is powers[::n // d].
+    """
+    n = p - 1
+    g = find_generator(p)
+    powers = [1]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * g % p)
+    return np.array(powers), [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _members(powers: np.ndarray, orders: tuple[int, ...]) -> frozenset[int]:
+    """The union of the subgroups of the given orders."""
+    n = len(powers)
+    return frozenset(w for d in orders for w in powers[:: n // d].tolist())
 
 
 def shape_members(sp: SpecialPrime, shape: BShape) -> frozenset[int]:
     """The explicit subset of (Z/pZ)^x described by a shape."""
-    p, q = sp.p, sp.q
-    u = _qr_generator(sp)
-
-    def cyc(gen):
-        out = set()
-        w = gen
-        while w not in out:
-            out.add(w)
-            w = w * gen % p
-        return out
-
-    if shape.kind == "EMPTY":
-        return frozenset()
-    if shape.kind == "HALF":
-        return frozenset(cyc(pow(u, q**shape.j, p)))
-    if shape.kind == "FULL":
-        return frozenset(cyc(p - pow(u, q**shape.k, p)))
-    return frozenset(
-        cyc(pow(u, q**shape.j, p)) | cyc(p - pow(u, q**shape.k, p))
-    )
+    return _members(_lattice(sp.p)[0], shape.orders)
 
 
 def classify_b(params: HGParams) -> BShape:
@@ -140,9 +136,10 @@ def classify_b(params: HGParams) -> BShape:
     sp = parse_special_prime(params.m)
     if sp is None:
         raise HypothesisError(f"modulus {params.m} is not of the form 2*q^r + 1")
+    powers, _ = _lattice(sp.p)
     B = frozenset(bounded_residues(params).members)
     for shape in enumerate_b_shapes(sp):
-        if B == shape_members(sp, shape):
+        if B == _members(powers, shape.orders):
             return shape
     raise ShapeMismatch(f"B={sorted(B)} over p={sp.p} matches no enumerated shape")
 
@@ -158,25 +155,20 @@ class SweepResult:
     total: int
 
 
-def _pattern_table(
-    sp: SpecialPrime, powg: np.ndarray, divs: list[int]
-) -> dict[int, BShape]:
+def _pattern_table(sp: SpecialPrime, divs: list[int]) -> dict[int, BShape]:
     """Subgroup pattern of every shape: bit i set when H_(divs[i]) lies in it.
 
-    powg[k] = g^k for a primitive root g, so H_d = <g^(n/d)> is powg[::n/d].
+    A cyclic H_d lies in a union of subgroups when its generator does, so in
+    one of them, H_e, which holds exactly when d | e.  The shape's size is the
+    sum of phi(d) over the set bits and must match its closed-form density.
     """
     n = sp.p - 1
     table = {}
     for shape in enumerate_b_shapes(sp):
-        members = shape_members(sp, shape)
-        mask, union = 0, set()
-        for i, d in enumerate(divs):
-            H = set(powg[:: n // d].tolist())
-            if H <= members:
-                mask |= 1 << i
-                union |= H
-        assert union == members, f"{shape.label()} is not a union of subgroups"
-        table[mask] = shape
+        bits = [i for i, d in enumerate(divs) if any(e % d == 0 for e in shape.orders)]
+        size = sum(euler_phi(divs[i]) for i in bits)
+        assert size == shape.density * n, f"{shape.label()} has {size} members"
+        table[sum(1 << i for i in bits)] = shape
     return table
 
 
@@ -197,16 +189,14 @@ def sweep_special(sp: SpecialPrime) -> SweepResult:
 
     One s is processed per batch, holding the rows t = s..p-1 (the x <-> y
     symmetry halves the (s, t) space: off-diagonal rows weigh 2).  Pattern
-    counts are mapped to shapes through a table built once from
-    enumerate_b_shapes and shape_members; a pattern that matches no shape
+    counts are mapped to shapes through a table built once from the
+    subgroup orders of enumerate_b_shapes; a pattern that matches no shape
     raises ShapeMismatch.
     """
     p = sp.p
     n = p - 1
-    g = find_generator(p)
-    divs = [d for d in range(1, n + 1) if n % d == 0]
-    powg = np.array([pow(g, k, p) for k in range(n)], dtype=np.int64)  # g^k
-    table = _pattern_table(sp, powg, divs)
+    powg, divs = _lattice(p)  # powg[k] = g^k
+    table = _pattern_table(sp, divs)
     pattern = np.arange(1 << len(divs))
     sizes = sum(euler_phi(d) * (pattern >> i & 1) for i, d in enumerate(divs))
     log = np.zeros(p, dtype=np.intp)

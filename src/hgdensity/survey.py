@@ -25,6 +25,7 @@ from .arith import euler_phi
 from .density import bounded_count, bounded_counts  # noqa: F401
 
 MIN_HEIGHT = 3  # below this no triple with c != a, b exists
+_DRY_RUN_BLOCK = 1 << 20  # the dry run counts at most this many indices at once
 
 
 def _check_height(N: int):
@@ -232,18 +233,14 @@ def slice_dry_run(
             start, sampled, valid = state["next"], state["sampled"], state["valid"]
     chunks_done = 0
     lo = start
+    block = stride * _DRY_RUN_BLOCK
     while lo < space:
         hi = min(lo + chunk, space)
-        idx = lo + (-lo) % stride  # first sampled index >= lo
-        while idx < hi:
-            k = idx % n
-            ij = idx // n
-            j = ij % n
-            i = ij // n
-            sampled += 1
-            if k != i and k != j:  # c != a and c != b
-                valid += 1
-            idx += stride
+        for first in range(lo + (-lo) % stride, hi, block):  # sampled indices >= lo
+            idx = np.arange(first, min(first + block, hi), stride)
+            k, ij = idx % n, idx // n  # idx = (i * n + j) * n + k
+            sampled += len(idx)
+            valid += int(np.count_nonzero((k != ij % n) & (k != ij // n)))  # c != a, b
         lo = hi
         chunks_done += 1
         if checkpoint:

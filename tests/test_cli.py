@@ -1,8 +1,12 @@
 """Command-line surface: output formats and exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hgdensity.cli import main
 
@@ -143,6 +147,10 @@ def test_exit_code_usage_error(capsys):
         (["digits", "8/11", "4"], 1),
         (["bounded", "1/3", "1/3", "2/3", "25"], 1),
         (["bounded", "1/3", "1/3", "2/3", "7", "--empirical", "0"], 2),
+        (["quad", "uset", "0", "0"], 2),
+        (["quad", "intersect", "2", "3", "0"], 2),
+        (["quad", "uset", "2", "9"], 1),
+        (["quad", "wset", "2", "-7"], 2),
     ],
 )
 def test_invalid_prime_or_horizon_exit_codes(capsys, argv, code):
@@ -158,3 +166,54 @@ def test_malformed_fraction_is_usage_error(capsys):
         main(["density", "x/y", "1/3", "2/3"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def _argv(*parts):
+    """argv lists from words, strategies for one word and strategies for lists."""
+    drawn = st.tuples(*(st.just(p) if isinstance(p, str) else p for p in parts))
+    return drawn.map(
+        lambda ws: [x for w in ws for x in ([w] if isinstance(w, str) else w)]
+    )
+
+
+def _option(*parts):
+    """Nothing, or the words that _argv(*parts) draws."""
+    return st.one_of(st.just([]), _argv(*parts))
+
+
+_FRAC = st.builds("{}/{}".format, st.integers(-2, 120), st.integers(0, 60))
+_INT = st.integers(-5, 300).map(str)
+_ARGV = st.one_of(
+    _argv("density", _FRAC, _FRAC, _FRAC, _option("--json")),
+    _argv("residues", _FRAC, _FRAC, _FRAC),
+    _argv("digits", _FRAC, _INT, _option("--full-period")),
+    _argv("bounded", _FRAC, _FRAC, _FRAC, _INT, _option("--empirical", _INT)),
+    _argv("quad", st.sampled_from(["class-number", "nonresidue"]), _INT),
+    _argv("quad", st.sampled_from(["uset", "wset", "interval-sum"]), _INT, _INT),
+    _argv("quad", "intersect", _INT, _INT, _INT),
+    _argv("special", st.integers(-5, 299).map(str), _option("--max-density")),
+    _argv("sweep", st.integers(-2, 12).map(str), "--dry-run",
+          _option("--stride", st.integers(-3, 500).map(str))),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_ARGV)
+@example(["special", "19", "--max-density"])
+@example(["quad", "uset", "0", "0"])
+@example(["quad", "intersect", "2", "3", "0"])
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse: usage line(s), then one error line
+            assert e.code == 2, argv
+            lines = err.getvalue().splitlines()
+            assert lines and ": error: " in lines[-1], argv
+            assert "Traceback" not in err.getvalue()
+            return
+    assert code in (0, 1, 2), argv
+    if code:
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue() and out.getvalue() == ""

@@ -5,8 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from hgdensity.arith import normalize_params
-from hgdensity.density import bounded_residues, density
+from hgdensity.arith import ResidueSet, normalize_params
+from hgdensity.density import (
+    DivisorAntichain,
+    bounded_residues,
+    density,
+    subgroup_union_size,
+)
 from hgdensity.errors import HypothesisError, ShapeMismatch
 from hgdensity.quadratic import legendre, quadratic_residues
 from hgdensity.specialcase import (
@@ -82,6 +87,35 @@ def test_shape_members_are_subgroup_unions():
             while w != u:
                 assert w in members
                 w = w * u % sp.p
+
+
+def test_shape_orders_give_the_closed_form_densities():
+    # the paper's density formulas against density's inclusion-exclusion
+    # over each shape's subgroup orders, at every special prime below 1000
+    primes = [p for p in range(1000) if parse_special_prime(p)]
+    assert len(primes) == 28
+    nonempty = 0
+    for p in primes:
+        for s in enumerate_b_shapes(parse_special_prime(p)):
+            if s.orders:
+                antichain = DivisorAntichain(p - 1, frozenset(s.orders))
+                assert s.density * (p - 1) == subgroup_union_size(antichain), (p, s)
+                nonempty += 1
+            else:
+                assert s.kind == "EMPTY" and s.density == 0
+    assert nonempty == 190
+
+
+def test_classify_b_raises_when_b_is_no_shape(monkeypatch):
+    p = 19
+    triple = params(1, 7, 4, p)
+    assert classify_b(triple).label() == "FULL(1)"
+    # 2 generates the units mod 19, so {2} is no union of subgroups
+    monkeypatch.setattr(
+        specialcase, "bounded_residues", lambda params: ResidueSet(p, (2,))
+    )
+    with pytest.raises(ShapeMismatch):
+        classify_b(triple)
 
 
 def test_classify_b_examples():

@@ -12,7 +12,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +32,6 @@ def least_residue(x: int, m: int) -> int:
     return x % m
 
 
-@lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p, e), ...) by trial division."""
     if n < 1:
@@ -53,7 +51,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     """Number of units in Z/mZ."""
     if m < 1:

@@ -227,8 +227,11 @@ _DISPATCH = {
 }
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _DISPATCH[args.cmd](args)
     except HypothesisError as e:

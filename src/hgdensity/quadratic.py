@@ -3,18 +3,19 @@
 Legendre symbols, Dirichlet class numbers, least nonresidues, the sets
 U_p(x) = {y : [xy]_p < [y]_p} and W_p(x) = U_p(x) n Q, the class-number
 counting formula for |W_p(x)|, interval decompositions of U_p(-x), and
-restricted Legendre-symbol interval sums.
+restricted Legendre-symbol interval sums.  The sets are
+``arith.ResidueSet`` values with modulus p.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .arith import check_prime, is_prime
+import numpy as np
+
+from .arith import ResidueSet, check_prime
 from .errors import HypothesisError
 
 
@@ -40,10 +41,24 @@ def legendre(y: int, p: int) -> int:
     return t
 
 
-@lru_cache(maxsize=None)
+def _residue_mask(p: int) -> np.ndarray:
+    """Length-p boolean mask, true at the nonzero quadratic residues mod p."""
+    y = np.arange(1, p, dtype=np.int64)
+    mask = np.zeros(p, dtype=bool)
+    mask[y * y % p] = True  # y * y < p^2: exact in int64 for p < 3 * 10^9
+    return mask
+
+
 def quadratic_residues(p: int) -> frozenset[int]:
     """Nonzero quadratic residues mod p."""
-    return frozenset(y * y % p for y in range(1, p))
+    return frozenset(np.flatnonzero(_residue_mask(p)).tolist())
+
+
+def _check_3_mod_4(p: int):
+    """check_prime, then HypothesisError unless p = 3 mod 4 and p > 3."""
+    check_prime(p)
+    if p % 4 != 3 or p <= 3:
+        raise HypothesisError(f"p={p} must be a prime = 3 mod 4 with p > 3")
 
 
 @dataclass(frozen=True)
@@ -56,10 +71,9 @@ class ClassNumber:
 
 def class_number(p: int) -> ClassNumber:
     """h from the Dirichlet character sum: -p*h = sum chi(y)*y over 0<y<p."""
-    if p % 4 != 3 or p <= 3 or not is_prime(p):
-        raise HypothesisError(f"p={p} must be a prime = 3 mod 4 with p > 3")
-    Q = quadratic_residues(p)
-    s = sum(y if y in Q else -y for y in range(1, p))
+    _check_3_mod_4(p)
+    y = np.arange(1, p, dtype=np.int64)
+    s = int(np.where(_residue_mask(p)[1:], y, -y).sum())
     q, r = divmod(-s, p)
     assert r == 0, f"character sum {s} not divisible by p={p}"
     assert q >= 1
@@ -68,7 +82,8 @@ def class_number(p: int) -> ClassNumber:
 
 def least_nonresidue(p: int) -> int:
     """Smallest n > 1 that is not a quadratic residue mod p."""
-    if p == 2 or not is_prime(p):
+    check_prime(p)
+    if p == 2:
         raise HypothesisError(f"p={p} must be an odd prime")
     n = 2
     while legendre(n, p) != -1:
@@ -76,61 +91,37 @@ def least_nonresidue(p: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class ModpSet:
-    """A sorted subset of the nonzero residues mod p."""
-
-    p: int
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        ms = tuple(sorted(set(self.members)))
-        object.__setattr__(self, "members", ms)
-        for y in ms:
-            if not (1 <= y < self.p):
-                raise ValueError(f"{y} outside [1, {self.p - 1}]")
-
-    def __contains__(self, y):
-        y %= self.p
-        i = bisect_left(self.members, y)
-        return i < len(self.members) and self.members[i] == y
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
+def _products(x: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """y = 1, ..., p-1 and [xy]_p, for a prime p and x not 0 mod p."""
+    check_prime(p)
+    if x % p == 0:
+        raise HypothesisError(f"x={x} is 0 mod p={p}")
+    y = np.arange(1, p, dtype=np.int64)
+    # x is reduced first, so x * y < p^2: exact in int64 for p < 3 * 10^9
+    return y, (x % p) * y % p
 
 
-def u_set(x: int, p: int) -> ModpSet:
+def u_set(x: int, p: int) -> ResidueSet:
     """U_p(x) = {y in [1, p-1] : [xy]_p < [y]_p}."""
-    check_prime(p)
-    if x % p == 0:
-        raise HypothesisError(f"x={x} is 0 mod p={p}")
-    x %= p
-    return ModpSet(p=p, members=tuple(y for y in range(1, p) if x * y % p < y))
+    y, xy = _products(x, p)
+    return ResidueSet(modulus=p, members=y[xy < y].tolist())
 
 
-def v_set(x: int, p: int) -> ModpSet:
+def v_set(x: int, p: int) -> ResidueSet:
     """V_p(x) = {y in [1, p-1] : [y]_p < [xy]_p}."""
-    check_prime(p)
-    if x % p == 0:
-        raise HypothesisError(f"x={x} is 0 mod p={p}")
-    x %= p
-    return ModpSet(p=p, members=tuple(y for y in range(1, p) if y < x * y % p))
+    y, xy = _products(x, p)
+    return ResidueSet(modulus=p, members=y[y < xy].tolist())
 
 
-def w_set(x: int, p: int) -> ModpSet:
+def w_set(x: int, p: int) -> ResidueSet:
     """W_p(x) = U_p(x) intersected with the quadratic residues."""
-    check_prime(p)
-    Q = quadratic_residues(p)
-    return ModpSet(p=p, members=tuple(y for y in u_set(x, p) if y in Q))
+    y, xy = _products(x, p)
+    return ResidueSet(modulus=p, members=y[(xy < y) & _residue_mask(p)[1:]].tolist())
 
 
 def w_count_formula(x: int, p: int) -> int:
     """Closed form |W_p(x)| = (n + (chi(x) + chi(1-x) - 1) h_p) / 2, n=(p-1)/2."""
-    if p % 4 != 3 or p <= 3:
-        raise HypothesisError(f"p={p} must be a prime = 3 mod 4 with p > 3")
+    _check_3_mod_4(p)
     if x % p in (0, 1):
         raise HypothesisError(f"x={x} must not be 0 or 1 mod p")
     n = (p - 1) // 2
@@ -164,8 +155,7 @@ def legendre_interval_sum(x: int, p: int) -> int:
 
     Both sides are computed and checked against each other before returning.
     """
-    if p % 4 != 3 or p <= 3:
-        raise HypothesisError(f"p={p} must be a prime = 3 mod 4 with p > 3")
+    _check_3_mod_4(p)
     if not (1 <= x <= p - 2):
         raise HypothesisError(f"x={x} outside [1, {p - 2}]")
     lhs = sum(

@@ -107,6 +107,10 @@ class SweepCounts:
         return self.distinct + self.equal_ab
 
 
+# The package's one remaining cache.  It stays because callers that ask for
+# density_histogram(N) and then beta(eps, N) at the same height (the
+# height-survey demo, the benchmark's sweep pass) would otherwise run the
+# kernel twice.  Tests clear it with .clear().
 _COUNT_CACHE: dict[int, SweepCounts] = {}
 
 

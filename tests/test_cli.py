@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import signal
 
 import pytest
 from hypothesis import example, given, settings
@@ -151,6 +152,11 @@ def test_exit_code_usage_error(capsys):
         (["quad", "intersect", "2", "3", "0"], 2),
         (["quad", "uset", "2", "9"], 1),
         (["quad", "wset", "2", "-7"], 2),
+        (["quad", "class-number", "0"], 2),
+        (["quad", "nonresidue", "-5"], 2),
+        (["quad", "interval-sum", "2", "0"], 2),
+        (["quad", "class-number", "15"], 1),
+        (["quad", "nonresidue", "2"], 1),
     ],
 )
 def test_invalid_prime_or_horizon_exit_codes(capsys, argv, code):
@@ -197,22 +203,33 @@ _ARGV = st.one_of(
 )
 
 
+_FUZZ_SECONDS = 30  # the slowest example, special at p < 300, takes under 1 s
+
+
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(_ARGV)
 @example(["special", "19", "--max-density"])
 @example(["quad", "uset", "0", "0"])
 @example(["quad", "intersect", "2", "3", "0"])
 def test_cli_fuzz_exits_cleanly(argv):
+    def hang(signum, frame):
+        raise TimeoutError(f"{argv} ran past {_FUZZ_SECONDS} s")
+
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(_FUZZ_SECONDS)  # a hang fails with its argv
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        except SystemExit as e:  # argparse: usage line(s), then one error line
-            assert e.code == 2, argv
-            lines = err.getvalue().splitlines()
-            assert lines and ": error: " in lines[-1], argv
-            assert "Traceback" not in err.getvalue()
-            return
+    except SystemExit as e:  # argparse: usage line(s), then one error line
+        assert e.code == 2, argv
+        lines = err.getvalue().splitlines()
+        assert lines and ": error: " in lines[-1], argv
+        assert "Traceback" not in err.getvalue()
+        return
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert code in (0, 1, 2), argv
     if code:
         assert err.getvalue().count("\n") == 1, (argv, err.getvalue())

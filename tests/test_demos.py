@@ -7,13 +7,24 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_special_primes_demo():
+def _run_demo(name):
     proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "demos", "special_primes.py")],
+        [sys.executable, os.path.join(ROOT, "demos", name)],
         env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_special_primes_demo():
+    proc = _run_demo("special_primes.py")
     section = proc.stdout.split("p = 163 = 2*3^4 + 1\n")[1].split("\n\n")[0]
     assert "max density 2/27 at (x, y, z) = (1, 27, 24)" in section
     assert "p = 251 = 2*5^3 + 1" in proc.stdout
+
+
+def test_quadratic_identities_demo():
+    out = _run_demo("quadratic_identities.py").stdout
+    assert "p = 23: class number h = 3, least nonresidue = 5" in out
+    assert "W_47(29) = [18, 25, 28, 36]" in out

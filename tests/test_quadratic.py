@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hgdensity.arith import primes_up_to
+from hgdensity.arith import ResidueSet, primes_up_to
 from hgdensity.quadratic import (
     class_number,
     interval_integer_points,
@@ -204,6 +204,21 @@ def test_multiples_in_u():
     # j = 1 always returns y itself
     for y in u_set(3, 13).members:
         assert multiples_in_u(y, 3, 13)[0] == y
+
+
+@pytest.mark.parametrize("p", [19963, 19991])
+def test_sets_and_class_number_at_benchmark_sizes(p):
+    # the benchmark's `queries` workload draws p = 3 mod 4 up to 20,000
+    Q = {y * y % p for y in range(1, p)}
+    assert quadratic_residues(p) == Q
+    for x in (2, 3, (p + 1) // 2, p - 2, p - 1, -7, p + 5):
+        U, V, W = u_set(x, p), v_set(x, p), w_set(x, p)
+        for S in (U, V, W):
+            assert isinstance(S, ResidueSet) and S.modulus == p
+        assert set(U) == {y for y in range(1, p) if x * y % p < y}, x
+        assert set(V) == {y for y in range(1, p) if y < x * y % p}, x
+        assert set(W) == {y for y in U if y in Q}, x
+    assert class_number(p).h == reduced_form_class_number(p)
 
 
 def test_w_intersection_examples():

@@ -189,11 +189,17 @@ class ResidueSet:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        ms = tuple(sorted(set(self.members)))
-        object.__setattr__(self, "members", ms)
-        for u in ms:
-            if not (1 <= u < self.modulus) or math.gcd(u, self.modulus) != 1:
-                raise ValueError(f"{u} is not a unit in [1, {self.modulus - 1}]")
+        try:
+            ms = np.sort(np.fromiter(self.members, dtype=np.int64))
+        except OverflowError:
+            raise ValueError(f"a member lies outside [1, {self.modulus - 1}]") from None
+        first = np.ones(len(ms), dtype=bool)  # cheaper than np.unique
+        first[1:] = ms[1:] != ms[:-1]
+        ms = ms[first]
+        bad = (ms < 1) | (ms >= self.modulus) | (np.gcd(ms, self.modulus) != 1)
+        if bad.any():
+            raise ValueError(f"{ms[bad][0]} is not a unit in [1, {self.modulus - 1}]")
+        object.__setattr__(self, "members", tuple(ms.tolist()))
 
     def __contains__(self, u: int) -> bool:
         u %= self.modulus

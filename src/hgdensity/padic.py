@@ -18,6 +18,10 @@ import numpy as np
 from .arith import HGParams, check_prime, mod_order
 from .errors import HypothesisError, PrimeTooSmall
 
+# the batched valuation oracle holds at most this many (triple, event) cells
+# at once, which bounds its temporaries to a few arrays of this many entries
+_ORACLE_CELLS = 1 << 15
+
 
 class Verdict(Enum):
     BOUNDED = "BOUNDED"
@@ -211,28 +215,124 @@ def coefficient_valuations(params: HGParams, p: int, N: int) -> ValuationProfile
     return ValuationProfile(prime=p, upto=N, valuations=tuple(int(v) for v in vals))
 
 
+def _descents(vals: np.ndarray, before: np.ndarray):
+    """Where a valuation falls strictly below an earlier one that was <= -1.
+
+    The verdict rule of the valuation oracle, along the last axis of
+    ``vals``: unboundedness shows as descending negative minima across
+    p-power scales, while a bounded prime may keep a fixed negative
+    plateau.  ``before`` holds, per row, the largest valuation <= -1 met
+    before the first one of ``vals`` (the dtype's minimum if none).
+    Returns the mask of descents and that largest valuation after the last.
+    """
+    neg = np.where(vals <= -1, vals, np.iinfo(vals.dtype).min)
+    best = np.maximum.accumulate(np.concatenate((before[..., None], neg), axis=-1), axis=-1)
+    return vals < best[..., :-1], best[..., -1]
+
+
 def empirical_bounded(params: HGParams, p: int, N: int) -> BoundednessVerdict:
     """Heuristic boundedness check over actual coefficient valuations.
 
     UNBOUNDED iff some valuation drops strictly below an earlier valuation
-    that was already <= -1; unboundedness manifests as descending negative
-    minima across p-power scales, while a bounded prime may keep a fixed
-    negative plateau.  The prime is not checked here: sweeps call this once
-    per (triple, prime) pair with primes they drew from a sieve.
+    that was already <= -1 (:func:`_descents`).  The prime is not checked
+    here: it is the one-triple reference for :func:`empirical_bounded_batch`,
+    and callers draw their primes from a sieve.
     """
     if N < 1:
         raise ValueError(f"N={N} must be >= 1: no coefficient would be examined")
     pos, deltas = _valuation_deltas(params, p, N)
     vals = np.cumsum(deltas)  # valuation right after each event
-    if len(vals) == 0:
-        return BoundednessVerdict(Verdict.BOUNDED)
-    sentinel = np.iinfo(np.int64).min
-    neg = np.where(vals <= -1, vals, sentinel)
-    best_before = np.concatenate([[sentinel], np.maximum.accumulate(neg)[:-1]])
-    drops = np.nonzero(vals < best_before)[0]
-    if len(drops):
-        e = int(drops[0])
+    drops, _ = _descents(vals, np.array(np.iinfo(vals.dtype).min))
+    if drops.any():
+        e = int(np.argmax(drops))
         return BoundednessVerdict(
             Verdict.UNBOUNDED, witness=(int(pos[e]) + 1, int(vals[e]))
         )
     return BoundednessVerdict(Verdict.BOUNDED)
+
+
+def _class_valuations(m: int, p: int, N: int, cols: range) -> np.ndarray:
+    """v_p(t + k m) at the k < N of the class k = -t/m mod p, block by block.
+
+    Row t in 1..m, column j for k in block j of p consecutive k (0 where
+    k >= N); row 0 is all 0.
+    """
+    t = np.arange(1, m + 1, dtype=np.int64)[:, None]
+    k = (-t * pow(m, -1, p)) % p + p * np.arange(cols.start, cols.stop, dtype=np.int64)
+    x = (t + k * m) // p  # p divides t + k m on its class
+    table = np.zeros((m + 1, len(cols)), dtype=np.int8)
+    v = table[1:]
+    v[...] = k < N
+    more = (x % p == 0) & (k < N)
+    while more.any():
+        v += more
+        x[more] //= p
+        more &= x % p == 0
+    return table
+
+
+def empirical_bounded_batch(m: int, X, Y, Z, p: int, N: int) -> np.ndarray:
+    """:func:`empirical_bounded` for every triple (X[t]/m, Y[t]/m; Z[t]/m).
+
+    For p > m, v_p(X/m + k) = v_p(X + k m), and the factorial term
+    v_p(k + 1) = v_p(m + k m) is the numerator m.  The events of numerator
+    t in 1..m therefore sit on the class k = -t/m mod p, one per block of p
+    consecutive k, and distinct numerators have distinct classes.  One
+    table of class valuations per (m, p) gives any triple's events: per
+    block, the rows X, Y, -Z and -m in the order of their class residues,
+    with equal numerators merged into one event as :func:`_valuation_deltas`
+    collapses repeated positions.  A running sum gives the coefficient
+    valuations, and :func:`_descents` the verdict.  (X, Y, Z) and (Y, X, Z)
+    are evaluated once.  Work goes in blocks of at most ``_ORACLE_CELLS``
+    cells, carrying each triple's valuation and negative maximum across
+    column blocks.  Returns a bool array, true where the verdict is BOUNDED.
+    """
+    if N < 1:
+        raise ValueError(f"N={N} must be >= 1: no coefficient would be examined")
+    check_prime(p)
+    if p <= m:
+        raise PrimeTooSmall(f"p={p} must exceed the modulus m={m}")
+    X, Y, Z = (np.asarray(v, dtype=np.int64) for v in (X, Y, Z))
+    if not X.shape == Y.shape == Z.shape == (len(Z),):
+        raise ValueError(f"X, Y, Z must be 1-d of one length, got "
+                         f"{X.shape}, {Y.shape}, {Z.shape}")
+    if len(Z) and (min(X.min(), Y.min(), Z.min()) < 1 or max(X.max(), Y.max(), Z.max()) >= m):
+        raise ValueError(f"numerators must lie in [1, {m - 1}]")
+    if (N + p) * m > np.iinfo(np.int64).max:
+        raise ValueError(f"N={N} is too large: t + k m must fit in int64")
+    # v_p of coefficient n sums, over the levels p^i <= m N, four counts of
+    # k < n on one class mod p^i, each floor(n / p^i) or one more: so it
+    # lies in [-2 levels, 2 levels], and levels <= 62 once m N fits in int64
+    levels = 0
+    while p ** (levels + 1) <= m * N:
+        levels += 1
+    assert 2 * levels <= np.iinfo(np.int8).max, "valuations must fit in int8"
+    key, inverse = np.unique((np.minimum(X, Y) * m + np.maximum(X, Y)) * m + Z,
+                             return_inverse=True)
+    nums = np.stack((key // (m * m), key // m % m, key % m, np.full_like(key, m)), axis=1)
+    weights = np.broadcast_to(np.array([1, 1, -1, -1], dtype=np.int8), nums.shape)
+    order = np.argsort((-nums * pow(m, -1, p)) % p, axis=1)
+    nums = np.take_along_axis(nums, order, axis=1)
+    weights = np.take_along_axis(weights, order, axis=1)
+    for i in range(3):  # merge equal neighbours into the later one
+        same = nums[:, i] == nums[:, i + 1]
+        weights[same, i + 1] += weights[same, i]
+        weights[same, i] = 0
+    blocks = -(-N // p)
+    cols = min(blocks, max(1, _ORACLE_CELLS // (4 * (m + 1))))
+    rows = max(1, _ORACLE_CELLS // (4 * cols))
+    level = np.zeros(len(key), dtype=np.int8)
+    best = np.full(len(key), np.iinfo(np.int8).min, dtype=np.int8)
+    unbounded = np.zeros(len(key), dtype=bool)
+    for c0 in range(0, blocks, cols):
+        span = range(c0, min(blocks, c0 + cols))
+        table = _class_valuations(m, p, N, span)
+        for r0 in range(0, len(key), rows):
+            sl = slice(r0, r0 + rows)
+            events = (table[nums[sl]] * weights[sl, :, None]).transpose(0, 2, 1)
+            vals = np.cumsum(events.reshape(len(events), -1), axis=1, dtype=np.int8)
+            vals += level[sl, None]
+            drops, best[sl] = _descents(vals, best[sl])
+            unbounded[sl] |= drops.any(axis=1)
+            level[sl] = vals[:, -1]
+    return ~unbounded[inverse]

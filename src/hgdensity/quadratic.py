@@ -183,7 +183,9 @@ def multiples_in_u(y: int, x: int, p: int) -> list[int]:
 
 def w_intersection_nonempty(u: int, v: int, p: int) -> tuple[bool, int | None]:
     """Whether W_p(u) n W_p(v) is nonempty, with the least witness if so."""
-    common = set(w_set(u, p)) & set(w_set(v, p))
+    y, uy = _products(u, p)
+    _, vy = _products(v, p)
+    common = y[(uy < y) & (vy < y) & _residue_mask(p)[1:]][:1].tolist()
     if common:
-        return True, min(common)
+        return True, common[0]
     return False, None

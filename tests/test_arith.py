@@ -140,6 +140,33 @@ def test_residue_set_validation():
         ResidueSet(modulus=12, members=(1, 4))
 
 
+def test_residue_set_sorts_and_deduplicates():
+    rs = ResidueSet(modulus=35, members=[34, 1, 12, 1, 34, 2, 12])
+    assert rs.members == (1, 2, 12, 34)
+    assert all(type(u) is int for u in rs.members)
+    assert ResidueSet(modulus=7, members=frozenset({6, 3, 5})).members == (3, 5, 6)
+    assert ResidueSet(modulus=7, members=iter([])).members == ()
+    assert len(ResidueSet(modulus=7, members=(4, 4, 4))) == 1
+
+
+@pytest.mark.parametrize("members, bad", [
+    ((1, 5, 10), 5),  # gcd(5, 35) = 5, even after a unit
+    ((12, 7, 7, 3), 7),  # unsorted, the least non-unit is named
+    ((0, 1), 0),
+    ((1, 35), 35),
+    ((36, 1), 36),
+    ((-1, 2), -1),
+])
+def test_residue_set_rejects_non_units_and_out_of_range(members, bad):
+    with pytest.raises(ValueError, match=rf"^{bad} is not a unit in \[1, 34\]"):
+        ResidueSet(modulus=35, members=members)
+
+
+def test_residue_set_rejects_members_beyond_int64():
+    with pytest.raises(ValueError, match="outside"):
+        ResidueSet(modulus=35, members=(1, 2**70))
+
+
 def test_residue_set_membership_reduces_mod_modulus():
     rs = ResidueSet(modulus=12, members=(11, 1, 7))
     assert 7 in rs and 1 in rs and 11 in rs

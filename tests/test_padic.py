@@ -1,11 +1,13 @@
 """Digit expansions, the digit boundedness criterion, valuation profiles."""
 
 import math
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from hgdensity.arith import mod_order, normalize_params, primes_up_to
+from hgdensity.arith import HGParams, mod_order, normalize_params, primes_in_range, primes_up_to
 from hgdensity.errors import HypothesisError, PrimeTooSmall
 from hgdensity.padic import (
     Verdict,
@@ -13,9 +15,11 @@ from hgdensity.padic import (
     digit_bounded,
     digits_by_formula,
     empirical_bounded,
+    empirical_bounded_batch,
     normalized_digit_limit,
     padic_digits,
 )
+from hgdensity.verify import params_with_modulus
 
 from oracles import brute_coefficient_valuations
 
@@ -187,3 +191,78 @@ def test_composite_prime_is_a_hypothesis_error(p):
 def test_empirical_bounded_needs_a_coefficient(N):
     with pytest.raises(ValueError, match="N="):
         empirical_bounded(params("1/3", "1/3", "2/3"), 7, N)
+
+
+def _batch(m):
+    return np.array(list(params_with_modulus(m))).T
+
+
+def _one_by_one(m, X, Y, Z, p, N):
+    return np.array([
+        empirical_bounded(HGParams(Fraction(x, m), Fraction(y, m), Fraction(z, m)), p, N)
+        .kind is Verdict.BOUNDED
+        for x, y, z in zip(X.tolist(), Y.tolist(), Z.tolist())
+    ])
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_batched_oracle_equals_per_triple_oracle(m):
+    # at the sweep's horizon p^3 and at one that ends inside a block of p
+    X, Y, Z = _batch(m)
+    for p in primes_in_range(m, 50):
+        for N in (p**3, p**2 + 7):
+            got = empirical_bounded_batch(m, X, Y, Z, p, N)
+            assert np.array_equal(got, _one_by_one(m, X, Y, Z, p, N)), (m, p, N)
+
+
+def test_batched_oracle_flips_at_the_first_descent():
+    # the horizon is exact: a triple turns UNBOUNDED at the first N that
+    # includes the event of its witness (n, v), which is k = n - 1
+    flips = 0
+    for m, p in ((3, 5), (4, 7), (5, 7)):
+        X, Y, Z = _batch(m)
+        for t, (x, y, z) in enumerate(zip(X.tolist(), Y.tolist(), Z.tolist())):
+            hg = HGParams(Fraction(x, m), Fraction(y, m), Fraction(z, m))
+            v = empirical_bounded(hg, p, p**4)
+            if v.bounded:
+                continue
+            n = v.witness[0]
+            assert empirical_bounded_batch(m, X, Y, Z, p, n - 1)[t], (m, p, t)
+            assert not empirical_bounded_batch(m, X, Y, Z, p, n)[t], (m, p, t)
+            flips += 1
+    assert flips >= 5
+
+
+def test_batched_oracle_chunking_is_invisible(monkeypatch):
+    # 7 cells: one triple and one block of p per chunk, so every triple
+    # carries its valuation across blocks; 100: a few of each, with a
+    # shorter last chunk
+    kernel = sys.modules["hgdensity.padic"]
+    cases = [(m, p, N) for m in (5, 8) for p in (11, 13) for N in (p**3, p**2 + 7)]
+    whole = {c: empirical_bounded_batch(c[0], *_batch(c[0]), *c[1:]) for c in cases}
+    assert any(not v.all() for v in whole.values())  # some verdict is UNBOUNDED
+    for cap in (7, 100):
+        monkeypatch.setattr(kernel, "_ORACLE_CELLS", cap)
+        for c, want in whole.items():
+            got = empirical_bounded_batch(c[0], *_batch(c[0]), *c[1:])
+            assert np.array_equal(got, want), (cap, c)
+
+
+def test_batched_oracle_boundary():
+    X, Y, Z = _batch(6)
+    for p in (2, 3, 5):
+        with pytest.raises(PrimeTooSmall):
+            empirical_bounded_batch(6, X, Y, Z, p, 125)
+    for N in (0, -1):
+        with pytest.raises(ValueError, match="N="):
+            empirical_bounded_batch(6, X, Y, Z, 7, N)
+    with pytest.raises(ValueError, match="too large"):
+        empirical_bounded_batch(6, X, Y, Z, 7, 2**62)
+    with pytest.raises(HypothesisError, match="not prime"):
+        empirical_bounded_batch(6, X, Y, Z, 9, 729)
+    with pytest.raises(ValueError, match="one length"):
+        empirical_bounded_batch(6, [1, 5], [5], [2, 3], 7, 343)
+    for bad in ([0], [6]):
+        with pytest.raises(ValueError, match=r"\[1, 5\]"):
+            empirical_bounded_batch(6, bad, [5], [1], 7, 343)
+    assert empirical_bounded_batch(6, [], [], [], 7, 343).shape == (0,)

@@ -1,5 +1,6 @@
 """Legendre symbols, class numbers, U/V/W sets and their identities."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -230,6 +231,21 @@ def test_w_intersection_examples():
             assert ok and witness in set(w_set(u, 19).members) & set(
                 w_set(v, 19).members
             )
+
+
+@pytest.mark.parametrize("p", [19963, 19991])
+def test_w_intersection_matches_set_intersection(p):
+    # U_p(1) is empty, so any pair with a u or v of 1 mod p has no witness
+    rng = random.Random(p)
+    pairs = [(rng.randrange(2, p), rng.randrange(2, p)) for _ in range(12)]
+    pairs += [(1, rng.randrange(2, p)), (rng.randrange(2, p), p + 1), (5, 5)]
+    empty = 0
+    for u, v in pairs:
+        common = set(w_set(u, p).members) & set(w_set(v, p).members)
+        want = (True, min(common)) if common else (False, None)
+        assert w_intersection_nonempty(u, v, p) == want, (u, v)
+        empty += not common
+    assert empty >= 2
 
 
 def test_even_least_residues_when_x_is_half():

@@ -224,3 +224,23 @@ def unit_mask(m: int) -> np.ndarray:
 def units_mod(m: int) -> list[int]:
     """The units of Z/mZ in increasing order, from :func:`unit_mask`."""
     return np.flatnonzero(unit_mask(m)).tolist()
+
+
+def modulus_triples(m: int, height: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Numerators (X, Y, Z) of every triple (X/m, Y/m; Z/m) of modulus exactly
+    m with all denominators <= height and Z != X, Y, in lexicographic order.
+
+    The lcm of the denominators is m exactly when no prime of m divides all of
+    X, Y and Z: a cell is kept when the AND of their prime bitmasks is 0.
+    """
+    x = np.arange(1, m, dtype=np.int64)
+    x = x[m // np.gcd(x, m) <= height]
+    mask = np.zeros(len(x), dtype=np.uint16)  # an int64 has at most 15 primes
+    for bit, (p, _) in enumerate(factorize(m)):
+        mask[x % p == 0] |= 1 << bit
+    keep = ((mask[:, None] & mask)[:, :, None] & mask) == 0
+    n = len(x)
+    diag = np.arange(n)
+    keep[diag, :, diag] = keep[:, diag, diag] = False  # Z != X and Z != Y
+    cell = np.flatnonzero(keep)  # cell = (i * n + j) * n + k
+    return x[cell // (n * n)], x[cell // n % n], x[cell % n]

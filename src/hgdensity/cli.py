@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("N", type=int)
     p.add_argument("--out", default=None)
     p.add_argument("--drop-zero", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="worker processes")
     p.add_argument("--beta", type=_fraction, default=None, metavar="EPS")
     p.add_argument("--dry-run", action="store_true",
                    help="stratified index-space walk only, no densities")

@@ -175,12 +175,19 @@ def _subgroup_chunks(m: int, A, B, C):
     plan = _subgroup_plan(m)
     rows = max(1, _KERNEL_CELLS // len(plan.neg_units))
     dtype = np.min_scalar_type(m)
+    # the products v * (m - u) fit uint32 below m = 2^16: half the bytes and a
+    # faster reduction mod m for a table that dominates when phi(m) is large
+    wide = np.uint32 if m < 1 << 16 else np.int64
+    neg_units = plan.neg_units.astype(wide)
     for lo in range(0, len(C), rows):
         sl = slice(lo, lo + rows)
         vals, idx = np.unique(np.concatenate((A[sl], B[sl], C[sl])), return_inverse=True)
-        table = (np.multiply.outer(vals, plan.neg_units) % m).astype(dtype)
+        table = (np.multiply.outer((vals % m).astype(wide), neg_units) % m).astype(dtype)
         a, b, c = np.split(table[idx], 3)  # a[t, v] = [-vA_t]_m
         S = np.ascontiguousarray(((c <= a) | (c <= b)).T)
+        # free the gathered rows before the next chunk gathers its own: two
+        # live at once outgrow malloc's trim threshold and fault in fresh pages
+        del a, b, c, table
         ok = np.concatenate([
             S[start : start + count * size].reshape(count, size, -1).all(axis=1)
             for start, count, size in plan.classes

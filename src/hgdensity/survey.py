@@ -2,24 +2,28 @@
 
 Height of a parameter in (0, 1) is its denominator; the survey enumerates
 every ordered triple (a, b; c) of reduced fractions with denominators at
-most N and c != a, b, computes all densities exactly, and aggregates them
-into exact-rational histograms and beta(r, N) proportions.
+most N and c != a, b, one modulus at a time, computes all densities exactly,
+and aggregates them into exact histograms and beta(r, N) proportions.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import sys
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import combinations_with_replacement
 from multiprocessing import Pool
 
 import numpy as np
 
-from .arith import euler_phi
+from .arith import euler_phi, modulus_triples
 # bounded_count is not called here; it stays importable from this module
 # because perfbench/probes.py rebinds survey.bounded_count for its spans
 from .density import bounded_count, bounded_counts  # noqa: F401
@@ -51,46 +55,21 @@ def enumerate_params(N: int):
                     yield (a, b, c)
 
 
-def _modulus_batches(N: int) -> list[tuple]:
-    """The triples (a, b, c) of height <= N with a <= b and c != a, b,
-    grouped by their modulus m: one (m, A, B, C, equal) per modulus, where
-    A, B, C are the numerators of a, b, c over m and equal marks a == b."""
-    fracs = fractions_up_to(N)
-    n = len(fracs)
-    num = np.array([f.numerator for f in fracs], dtype=np.int64)
-    den = np.array([f.denominator for f in fracs], dtype=np.int64)
-    i, j = np.triu_indices(n)
-    i, j = np.repeat(i, n), np.repeat(j, n)
-    k = np.tile(np.arange(n), n * (n + 1) // 2)
-    keep = (k != i) & (k != j)
-    i, j, k = i[keep], j[keep], k[keep]
-    m = np.lcm(np.lcm(den[i], den[j]), den[k])
-    order = np.argsort(m, kind="stable")
-    moduli, first = np.unique(m[order], return_index=True)
-    batches = []
-    for mod, sel in zip(moduli.tolist(), np.split(order, first[1:])):
-        a, b, c = i[sel], j[sel], k[sel]
-        A, B, C = (num[x] * (mod // den[x]) for x in (a, b, c))
-        batches.append((mod, A, B, C, a == b))
-    return batches
+def _moduli(N: int) -> list[int]:
+    """The moduli of the sweep: every lcm of three denominators in 2..N."""
+    return sorted({math.lcm(*d) for d in combinations_with_replacement(range(2, N + 1), 3)})
 
 
-def _sweep_worker(batches: list[tuple]) -> tuple[Counter, Counter]:
-    """Densities over per-modulus batches of (a <= b, c) triples; returns
-    (counter over a != b weighted by 2, counter over a == b)."""
-    distinct: Counter = Counter()
-    equal_ab: Counter = Counter()
-    for m, A, B, C, equal in batches:
-        sizes = bounded_counts(m, A, B, C)
-        phi = euler_phi(m)
-        for part, weight, counter in (
-            (sizes[~equal], 2, distinct),
-            (sizes[equal], 1, equal_ab),
-        ):
-            values, mult = np.unique(part, return_counts=True)
-            for v, c in zip(values.tolist(), mult.tolist()):
-                counter[Fraction(v, phi)] += weight * c
-    return distinct, equal_ab
+def _modulus_counts(m: int, N: int) -> tuple[int, list]:
+    """phi(m) and the (values, counts) of |B| over the triples (a <= b, c) of
+    modulus m and height <= N, first for a != b, then for a == b.  Fractions
+    are made once, in the caller's merge, since hashing them is not cheap."""
+    X, Y, Z = modulus_triples(m, N)
+    keep = X <= Y
+    X, Y, Z = X[keep], Y[keep], Z[keep]
+    sizes = bounded_counts(m, X, Y, Z)
+    equal = X == Y
+    return euler_phi(m), [np.unique(s, return_counts=True) for s in (sizes[~equal], sizes[equal])]
 
 
 @dataclass(frozen=True)
@@ -115,24 +94,26 @@ _COUNT_CACHE: dict[int, SweepCounts] = {}
 
 
 def survey_counts(N: int, workers: int = 1) -> SweepCounts:
-    """Run (or reuse) the full density sweep at height N."""
+    """Run (or reuse) the full density sweep at height N, one modulus at a
+    time, on at most ``workers`` processes."""
     _check_height(N)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     cached = _COUNT_CACHE.get(N)
     if cached is not None:
         return cached
-    batches = _modulus_batches(N)
-    if workers == 1:
-        parts = [_sweep_worker(batches)]
-    else:
-        # dealing the moduli out in order of kernel cells balances the work
-        batches.sort(key=lambda bt: len(bt[3]) * euler_phi(bt[0]), reverse=True)
-        with Pool(processes=workers) as pool:
-            parts = pool.map(_sweep_worker, [batches[w::workers] for w in range(workers)])
+    moduli = _moduli(N)
+    count = partial(_modulus_counts, N=N)
+    processes = min(workers, len(moduli))
     distinct: Counter = Counter()
     equal_ab: Counter = Counter()
-    for d, e in parts:
-        distinct += d
-        equal_ab += e
+    with Pool(processes) if processes > 1 else nullcontext() as pool:
+        # the large moduli cost the most: hand them out first
+        parts = pool.imap_unordered(count, moduli[::-1]) if pool else map(count, moduli)
+        for phi, tallies in parts:  # a triple with a != b stands for (b, a) too
+            for counter, weight, (values, mult) in zip((distinct, equal_ab), (2, 1), tallies):
+                for v, c in zip(values.tolist(), mult.tolist()):
+                    counter[Fraction(v, phi)] += weight * c
     result = SweepCounts(N=N, distinct=distinct, equal_ab=equal_ab)
     _COUNT_CACHE[N] = result
     return result
@@ -208,6 +189,28 @@ class DryRunReport:
     completed: bool
 
 
+def _resume_point(checkpoint: str, N: int, stride: int, space: int) -> tuple[int, int, int]:
+    """(next, sampled, valid) from a dry-run checkpoint file; (0, 0, 0) when
+    it was written for another N or stride, ValueError when it is malformed."""
+    with open(checkpoint) as f:
+        try:
+            state = json.load(f)
+        except ValueError as e:
+            raise ValueError(f"checkpoint {checkpoint!r} is not JSON ({e})") from None
+    if not isinstance(state, dict):
+        raise ValueError(f"checkpoint {checkpoint!r} does not hold a JSON object")
+    if state.get("N") != N or state.get("stride") != stride:
+        return 0, 0, 0
+    start, sampled, valid = point = tuple(state.get(k) for k in ("next", "sampled", "valid"))
+    if not (all(type(v) is int for v in point)
+            and 0 <= start <= space and 0 <= valid <= sampled):
+        raise ValueError(
+            f"checkpoint {checkpoint!r} needs ints 0 <= next <= {space} and "
+            f"0 <= valid <= sampled, got {point}"
+        )
+    return point
+
+
 def slice_dry_run(
     N: int,
     stride: int = 100,
@@ -228,13 +231,9 @@ def slice_dry_run(
         raise ValueError(f"stride and chunk must be >= 1, got {stride} and {chunk}")
     n = len(fractions_up_to(N))
     space = n**3
-    start = 0
-    sampled = valid = 0
+    start = sampled = valid = 0
     if checkpoint and os.path.exists(checkpoint):
-        with open(checkpoint) as f:
-            state = json.load(f)
-        if state.get("N") == N and state.get("stride") == stride:
-            start, sampled, valid = state["next"], state["sampled"], state["valid"]
+        start, sampled, valid = _resume_point(checkpoint, N, stride, space)
     chunks_done = 0
     lo = start
     block = stride * _DRY_RUN_BLOCK

@@ -12,11 +12,10 @@ and safe to fan out across processes.
 from __future__ import annotations
 
 import math
-from itertools import chain
 
 import numpy as np
 
-from .arith import mod_order, primes_in_range
+from .arith import mod_order, modulus_triples, primes_in_range
 from .density import bounded_counts, bounded_members
 # empirical_bounded is not called here; it stays importable from this module
 # because perfbench/probes.py rebinds verify.empirical_bounded for its spans
@@ -38,12 +37,6 @@ def params_with_modulus(m: int):
                     continue
                 if math.gcd(gxy, Z) == 1:
                     yield X, Y, Z
-
-
-def _triple_arrays(m: int):
-    """The triples of :func:`params_with_modulus` as three int64 arrays."""
-    flat = chain.from_iterable(params_with_modulus(m))
-    return np.fromiter(flat, dtype=np.int64).reshape(-1, 3).T
 
 
 def _digit_bounded(m: int, X, Y, Z, p: int) -> np.ndarray:
@@ -77,7 +70,7 @@ def digit_residue_mismatches(m: int, prime_limit: int = 500) -> list[tuple]:
     verdict with membership of p mod m in B.  Returns all mismatches as
     (X, Y, Z, p) tuples; an empty list means full agreement.
     """
-    X, Y, Z = _triple_arrays(m)
+    X, Y, Z = modulus_triples(m, m)
     primes = primes_in_range(m, prime_limit)
     in_b = bounded_members(m, X, Y, Z, primes)
     mismatches = []
@@ -95,7 +88,7 @@ def empirical_digit_mismatches(m: int, prime_limit: int = 50) -> list[tuple]:
     :func:`padic.empirical_bounded_batch`) with the digit-criterion verdict.
     Returns mismatching (X, Y, Z, p).
     """
-    X, Y, Z = _triple_arrays(m)
+    X, Y, Z = modulus_triples(m, m)
     mismatches = []
     for p in primes_in_range(m, prime_limit):
         oracle = empirical_bounded_batch(m, X, Y, Z, p, p**3)
@@ -109,6 +102,6 @@ def zero_density_mismatches(m: int) -> list[tuple]:
     On the numerators, c is strictly the smallest parameter exactly when
     Z < X and Z < Y, the form :func:`density.zero_density_criterion` takes.
     """
-    X, Y, Z = _triple_arrays(m)
+    X, Y, Z = modulus_triples(m, m)
     bad = (bounded_counts(m, X, Y, Z) == 0) != ((Z < X) & (Z < Y))
     return list(zip(X[bad].tolist(), Y[bad].tolist(), Z[bad].tolist()))

@@ -3,10 +3,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgdensity import verify
 from hgdensity.arith import (
     HGParams,
     ResidueSet,
@@ -16,6 +18,7 @@ from hgdensity.arith import (
     is_prime,
     least_residue,
     mod_order,
+    modulus_triples,
     normalize_params,
     primes_in_range,
     primes_up_to,
@@ -199,3 +202,22 @@ def test_hgparams_rejects_out_of_range():
         HGParams(Fraction(0), Fraction(1, 2), Fraction(1, 3))
     with pytest.raises(ValueError):
         HGParams(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
+
+
+def test_modulus_triples_match_the_reference_generator():
+    # element for element and in order, against the per-triple generator
+    for m in range(3, 31):
+        ref = np.array(list(verify.params_with_modulus(m))).T
+        got = np.array(modulus_triples(m, m))
+        assert got.shape == ref.shape and (got == ref).all(), m
+
+
+def test_modulus_triples_small_and_invalid():
+    assert all(len(v) == 0 for v in modulus_triples(2, 10))
+    X, Y, Z = modulus_triples(12, 4)  # denominators 2, 3, 4 only, lcm 12
+    assert len(Z) > 0
+    for x in (X, Y, Z):
+        assert (12 // np.gcd(x, 12) <= 4).all()
+    assert all(len(v) == 0 for v in modulus_triples(6, 1))
+    with pytest.raises(ValueError):
+        modulus_triples(0, 5)

@@ -115,6 +115,16 @@ def test_dry_run_zero_stride_is_usage_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("state", ['{"N": 8, "stride": 100}', "[1, 2]"])
+def test_dry_run_malformed_checkpoint_is_usage_error(capsys, tmp_path, state):
+    ck = tmp_path / "ck.json"
+    ck.write_text(state)
+    code, out, err = run(capsys, "sweep", "8", "--dry-run", "--checkpoint", str(ck))
+    assert code == 2 and out == ""
+    assert err.startswith("invalid arguments:") and err.count("\n") == 1
+    assert "Traceback" not in err and "ck.json" in err
+
+
 def test_sweep_output_file(capsys, tmp_path):
     target = tmp_path / "hist.csv"
     code, _, _ = run(capsys, "sweep", "3", "--out", str(target))

@@ -222,6 +222,19 @@ def test_bounded_counts_chunking_is_invisible(monkeypatch):
             assert np.array_equal(bounded_counts(m, *batch), whole[m]), (cap, m)
 
 
+@pytest.mark.parametrize("m", [65521, 99991])  # primes below and above 2^16
+def test_bounded_counts_on_both_sides_of_the_uint32_table(m):
+    # below 2^16 the kernel forms v * (m - u) in uint32, where (m - 1)^2
+    # is close to the limit; above it in int64, where uint32 would wrap
+    rng = random.Random(m)
+    X, Y, Z = [m - 1, 1, m - 2], [m - 1, m - 1, 2], [m - 2, 2, m - 1]
+    for _ in range(5):
+        x, y, z = rng.sample(range(1, m), 3)
+        X, Y, Z = X + [x], Y + [y], Z + [z]
+    want = [len(_cycle_walk(m, x, y, z)) for x, y, z in zip(X, Y, Z)]
+    assert bounded_counts(m, X, Y, Z).tolist() == want
+
+
 def test_bounded_counts_empty_and_ragged_batches():
     got = bounded_counts(12, [], [], [])
     assert got.shape == (0,) and got.dtype == np.int64

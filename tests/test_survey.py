@@ -2,16 +2,18 @@
 
 import hashlib
 import io
+import json
 import math
 import os
 import random
 import signal
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from hgdensity import survey
-from hgdensity.arith import euler_phi
+from hgdensity.arith import euler_phi, modulus_triples
 from hgdensity.density import density
 from hgdensity.arith import normalize_params
 from hgdensity.specialcase import enumerate_b_shapes, parse_special_prime
@@ -46,6 +48,18 @@ def test_enumerate_params_small():
         assert 0 < a < 1 and 0 < b < 1 and 0 < c < 1
     with pytest.raises(ValueError):
         list(survey.enumerate_params(2))
+
+
+def test_moduli_partition_the_triples():
+    # the per-modulus enumeration covers every triple of height <= N once
+    for N in range(3, 12):
+        union = [
+            (Fraction(X, m), Fraction(Y, m), Fraction(Z, m))
+            for m in survey._moduli(N)
+            for X, Y, Z in zip(*(v.tolist() for v in modulus_triples(m, N)))
+        ]
+        assert len(set(union)) == len(union), N
+        assert sorted(union) == list(survey.enumerate_params(N)), N
 
 
 def test_histogram_at_height_3():
@@ -220,3 +234,80 @@ def test_sweep_split_across_workers_at_8():
     two = fresh_counts(8, workers=2)
     assert one.distinct == two.distinct
     assert one.equal_ab == two.equal_ab
+
+
+class _RecordingPool:
+    """Stands in for multiprocessing.Pool: records the process count it is
+    asked for and runs the work in this process."""
+
+    started: list = []
+
+    def __init__(self, processes=None):
+        self.started.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return list(map(fn, items))
+
+    def imap_unordered(self, fn, items):
+        return map(fn, items)
+
+
+def test_pool_size_comes_from_the_input(monkeypatch):
+    monkeypatch.setattr(survey, "Pool", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    serial = fresh_counts(3, workers=1)
+    assert _RecordingPool.started == []
+    pooled = fresh_counts(3, workers=64)
+    assert _RecordingPool.started == [3]  # one per modulus: 2, 3 and 6
+    assert (pooled.distinct, pooled.equal_ab) == (serial.distinct, serial.equal_ab)
+    for workers in (0, -2):
+        survey._COUNT_CACHE.clear()
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            survey.survey_counts(3, workers=workers)
+        assert survey._COUNT_CACHE == {}
+    assert len(_RecordingPool.started) == 1
+
+
+def test_sweep_streams_one_modulus_at_a_time():
+    # materialising every triple of the sweep at once peaks near 17 MiB here
+    survey._COUNT_CACHE.clear()
+    tracemalloc.start()
+    try:
+        survey.survey_counts(16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("state", [
+    {"N": 8, "stride": 100},
+    [1, 2],
+    {"N": 8, "stride": 100, "next": -1, "sampled": 0, "valid": 0},
+    {"N": 8, "stride": 100, "next": 9262, "sampled": 0, "valid": 0},
+    {"N": 8, "stride": 100, "next": 0, "sampled": 1, "valid": 2},
+    {"N": 8, "stride": 100, "next": 0, "sampled": -1, "valid": -1},
+    {"N": 8, "stride": 100, "next": 1.5, "sampled": 0, "valid": 0},
+    {"N": 8, "stride": 100, "next": True, "sampled": 0, "valid": 0},
+    {"N": 8, "stride": 100, "next": "0", "sampled": 0, "valid": 0},
+])
+def test_dry_run_rejects_malformed_checkpoint(tmp_path, state):
+    ck = tmp_path / "ck.json"
+    ck.write_text(json.dumps(state))
+    with pytest.raises(ValueError, match="ck.json"):
+        survey.slice_dry_run(8, checkpoint=str(ck))
+
+
+def test_dry_run_checkpoint_of_another_run_restarts(tmp_path):
+    full = survey.slice_dry_run(8, stride=7)
+    for other in ({"N": 9, "stride": 7}, {"N": 8, "stride": 100}):
+        ck = tmp_path / "ck.json"
+        ck.write_text(json.dumps(dict(other, next=5, sampled=3, valid=1)))
+        rep = survey.slice_dry_run(8, stride=7, checkpoint=str(ck))
+        assert (rep.sampled, rep.valid, rep.completed) == (full.sampled, full.valid, True)

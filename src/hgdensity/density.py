@@ -28,6 +28,13 @@ from .errors import HypothesisError, PrimeTooSmall
 # once, which bounds its temporaries to a few arrays of this many entries
 _KERNEL_CELLS = 1 << 16
 
+# the single-triple walk's bulk power filter steps its candidates while at
+# least _FILTER_MIN remain and each step removes at least 1/_FILTER_CUT of
+# them, so it never runs for m <= _FILTER_MIN, where phi(m) < _FILTER_MIN
+_FILTER_MIN = 256
+_FILTER_CUT = 32
+_INT64_MAX = 2**63 - 1
+
 
 def pointwise_condition(params: HGParams, v: int) -> bool:
     """Single-element predicate {-vc} <= max({-va}, {-vb}).
@@ -48,17 +55,40 @@ def _cycle_walk(m: int, A: int, B: int, C: int) -> list[int]:
     """B for the single triple (A/m, B/m; C/m), in increasing order.
 
     S holds the units v with [-vC]_m <= max([-vA]_m, [-vB]_m); a unit u is
-    in B when its whole cyclic subgroup <u> lies inside S.  A walk over the
-    powers of u that closes inside S puts every power it met into B, since
-    each of them generates a subgroup of <u>; those are not walked again.
+    in B when its whole cyclic subgroup <u> lies inside S.
+
+    A bulk filter first steps every candidate u of S at once through u^2,
+    u^3, ... and drops u as soon as a power leaves S, since then <u> is not
+    inside S.  It stops when fewer than ``_FILTER_MIN`` candidates remain or
+    a step removes fewer than 1/``_FILTER_CUT`` of them, so it does at most
+    ``_FILTER_CUT * |S|`` element steps.  A walk over the powers of each
+    survivor then decides it: a walk that closes inside S puts every power
+    it met into B, since each of them generates a subgroup of <u>; those are
+    not walked again.
+
+    The products -vC and w * u stay below m^2 and are formed in int64, so m
+    is limited to (m - 1)^2 <= 2^63 - 1.
     """
+    if (m - 1) ** 2 > _INT64_MAX:
+        raise ValueError(f"modulus m={m} too large: (m - 1)^2 exceeds int64")
     units = np.flatnonzero(unit_mask(m))
-    S = units[(-units * C) % m <= np.maximum((-units * A) % m, (-units * B) % m)]
+    neg = -units
+    S = units[neg * C % m <= np.maximum(neg * A % m, neg * B % m)]
     mask = np.zeros(m, dtype=bool)
     mask[S] = True
+    cand = w = S  # w = cand^k after k steps
+    while len(cand) >= _FILTER_MIN:
+        w = w * cand
+        w -= w // m * m  # numpy divides by a scalar faster than it takes % m
+        keep = mask[w]
+        removed = len(keep) - np.count_nonzero(keep)
+        if removed:
+            cand, w = cand[keep], w[keep]
+        if removed * _FILTER_CUT < len(keep):
+            break
     in_s = mask.tobytes()  # indexing bytes is cheaper than indexing an array
     in_b: set[int] = set()
-    for u in S.tolist():
+    for u in cand.tolist():
         if u in in_b:
             continue
         cycle = [u]
@@ -236,13 +266,24 @@ def density(params: HGParams) -> Fraction:
 
 
 def bounded_prime_test(params: HGParams, p: int) -> bool:
-    """True iff p (> m, prime) lies in a bounded residue class mod m."""
+    """True iff p (> m, prime) lies in a bounded residue class mod m.
+
+    The class u = p mod m is bounded when every power of u satisfies the
+    pointwise condition, so only <u> is walked: O(ord(u)) steps, not all
+    of B.
+    """
     m = params.m
     if p <= m:
         raise PrimeTooSmall(f"p={p} must exceed the modulus m={m}")
     if not is_prime(p):
         raise HypothesisError(f"p={p} is not prime")
-    return (p % m) in bounded_residues(params)
+    A, B, C = int(params.a * m), int(params.b * m), int(params.c * m)
+    u = w = p % m
+    while (-w * C) % m <= max((-w * A) % m, (-w * B) % m):
+        w = w * u % m
+        if w == u:
+            return True
+    return False
 
 
 def is_union_of_cyclic(rs: ResidueSet) -> bool:

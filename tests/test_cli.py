@@ -125,6 +125,32 @@ def test_dry_run_malformed_checkpoint_is_usage_error(capsys, tmp_path, state):
     assert "Traceback" not in err and "ck.json" in err
 
 
+def test_sweep_workers_print_the_same_csv(capsys, monkeypatch):
+    from hgdensity import survey
+
+    pools = []
+
+    def spy(processes):
+        pools.append(processes)
+        return real_pool(processes)
+
+    real_pool = survey.Pool
+    monkeypatch.setattr(survey, "Pool", spy)
+    csv = {}
+    try:
+        for workers in ("1", "2"):
+            survey._COUNT_CACHE.clear()
+            code, csv[workers], _ = run(capsys, "sweep", "8", "--workers", workers)
+            assert code == 0
+    finally:
+        survey._COUNT_CACHE.clear()
+    assert pools == [2]  # the second sweep ran on a pool, not from the cache
+    assert csv["2"] == csv["1"] and csv["1"].startswith("density,count")
+    with pytest.raises(SystemExit) as exc:  # renamed, with no alias
+        main(["sweep", "8", "--threads", "2"])
+    assert exc.value.code == 2
+
+
 def test_sweep_output_file(capsys, tmp_path):
     target = tmp_path / "hist.csv"
     code, _, _ = run(capsys, "sweep", "3", "--out", str(target))
@@ -142,6 +168,20 @@ def test_exit_code_hypothesis_violation(capsys):
     # sweeps above the gate need an explicit flag
     code, _, err = run(capsys, "sweep", "32")
     assert code == 1 and "force-large" in err
+
+
+def test_modulus_beyond_int64_is_usage_error(capsys, monkeypatch):
+    import sys
+
+    def no_alloc(m):
+        raise AssertionError(f"unit_mask({m}) reached")
+
+    monkeypatch.setattr(sys.modules["hgdensity.density"], "unit_mask", no_alloc)
+    big = "/3037000501"  # (m - 1)^2 > 2^63 - 1
+    for cmd in ("density", "residues"):
+        code, out, err = run(capsys, cmd, "1" + big, "2" + big, "3" + big)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "int64" in err
 
 
 def test_exit_code_usage_error(capsys):

@@ -24,7 +24,7 @@ from hgdensity.density import (
     subgroup_union_size,
     zero_density_criterion,
 )
-from hgdensity.arith import ResidueSet, units_mod
+from hgdensity.arith import ResidueSet, mod_order, units_mod
 from hgdensity.errors import HypothesisError, PrimeTooSmall
 from hgdensity.quadratic import quadratic_residues
 from hgdensity import verify
@@ -93,6 +93,20 @@ def test_bounded_prime_test_examples():
     assert bounded_prime_test(pr, 5) is False
     with pytest.raises(PrimeTooSmall):
         bounded_prime_test(pr, 3)
+    with pytest.raises(HypothesisError):
+        bounded_prime_test(pr, 25)
+
+
+def test_bounded_prime_test_matches_bounded_residues():
+    # the walk over <p mod m> against membership in the whole of B
+    primes = [p for p in range(3, 200) if all(p % q for q in range(2, p))]
+    for m in range(2, 13):
+        for X, Y, Z in verify.params_with_modulus(m):
+            pr = params(Fraction(X, m), Fraction(Y, m), Fraction(Z, m))
+            B = bounded_residues(pr)
+            for p in primes:
+                if p > m:
+                    assert bounded_prime_test(pr, p) == ((p % m) in B), (X, Y, Z, m, p)
 
 
 def test_is_union_of_cyclic_examples():
@@ -206,6 +220,68 @@ def test_bounded_counts_match_closure_walk():
         members = bounded_members(m, X, Y, Z, units)
         for row, walk in zip(members, walks):
             assert units[row].tolist() == walk, m
+
+
+def _walk_against_kernel(m, triples):
+    X, Y, Z = (np.array(v, dtype=np.int64) for v in zip(*triples))
+    units = np.array(units_mod(m))
+    walks = [_cycle_walk(m, *t) for t in triples]
+    assert bounded_counts(m, X, Y, Z).tolist() == [len(w) for w in walks], m
+    for row, walk, t in zip(bounded_members(m, X, Y, Z, units), walks, triples):
+        assert units[row].tolist() == walk, (m, t)
+    return walks
+
+
+def test_cycle_walk_filter_matches_kernel_at_large_moduli():
+    # here |S| runs from 3,400 to 51,000 units, and the bulk filter steps 7
+    # to 14 times before the walk decides the survivors
+    rng = random.Random(2018)
+    for _ in range(4):
+        m = rng.randrange(10**4, 10**5)
+        triples = []
+        while len(triples) < 3:
+            x, y, z = rng.sample(range(1, m), 3)
+            if math.gcd(x, y, z, m) == 1:
+                triples.append((x, y, z))
+        _walk_against_kernel(m, triples)
+
+
+def test_cycle_walk_keeps_members_of_order_above_the_filter_steps():
+    # the filter steps 8 times here, and B holds units of order 14: they
+    # survive the filter and the walk puts their whole cycles into B
+    m = 16415
+    (walk,) = _walk_against_kernel(m, [(6337, 1169, 13615)])
+    assert max(mod_order(u, m) for u in walk) == 14
+    assert len(walk) == 42
+
+
+def test_cycle_walk_dense_b():
+    # (1/d, 1 - 1/d; 1/2) at m = 2d: every unit is in S, so B is all of them
+    d = 10007
+    m = 2 * d
+    (walk,) = _walk_against_kernel(m, [(2, m - 2, d)])
+    assert walk == units_mod(m)
+
+
+def test_cycle_walk_rejects_moduli_beyond_int64(monkeypatch):
+    import sys
+
+    kernel = sys.modules["hgdensity.density"]
+
+    def no_alloc(m):
+        raise AssertionError(f"unit_mask({m}) reached")
+
+    monkeypatch.setattr(kernel, "unit_mask", no_alloc)
+    # (m - 1)^2 <= 2^63 - 1 exactly for m <= 3037000500
+    assert math.isqrt(2**63 - 1) == 3037000499
+    big = 3037000501
+    pr = params(Fraction(1, big), Fraction(2, big), Fraction(3, big))
+    for call in (bounded_residues, density, record):
+        with pytest.raises(ValueError, match="int64"):
+            call(pr)
+    ok = big - 1
+    with pytest.raises(AssertionError, match="reached"):
+        _cycle_walk(ok, 1, 2, 3)
 
 
 def test_bounded_counts_chunking_is_invisible(monkeypatch):

@@ -1,12 +1,14 @@
 """Bulk cross-checks between the digit criterion, the residue-class formula
 and the coefficient valuations.
 
-Each sweep covers every parameter triple of one modulus m: the digit
-criterion and the valuation oracle are evaluated for all triples at once,
-one prime at a time, and B comes from one batched :mod:`density` kernel call
-per modulus.  Mismatches are returned as tuples of Python ints in
-(X, Y, Z, p) order.  The sweeps are cheap enough for every modulus m <= 30
-and safe to fan out across processes.
+Each sweep covers every parameter triple of one modulus m.  The digit
+criterion is evaluated for all triples and all primes at once, with one
+table of digit residues per class of p mod m; the valuation oracle for all
+triples at once, one prime at a time; and B comes from one batched
+:mod:`density` kernel call per modulus.  Mismatches are returned as tuples
+of Python ints in (X, Y, Z, p) order.  The sweeps are cheap enough for
+every modulus m <= 30 and safe to fan out across processes; each rejects a
+modulus that is not an int >= 2 and a prime limit that is not an int.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ from .density import bounded_counts, bounded_members
 # empirical_bounded is not called here; it stays importable from this module
 # because perfbench/probes.py rebinds verify.empirical_bounded for its spans
 from .padic import empirical_bounded, empirical_bounded_batch  # noqa: F401
+
+# the digit evaluator handles at most this many (prime, digit, triple) cells
+# at once, which bounds its temporaries to a few arrays of this many entries
+_DIGIT_CELLS = 1 << 15
 
 
 def params_with_modulus(m: int):
@@ -39,26 +45,59 @@ def params_with_modulus(m: int):
                     yield X, Y, Z
 
 
-def _digit_bounded(m: int, X, Y, Z, p: int) -> np.ndarray:
-    """The digit criterion at the prime p > m for every triple (X/m, Y/m; Z/m).
+def _digit_bounded(m: int, X, Y, Z, primes, flip=None) -> np.ndarray:
+    """The digit criterion for every triple (X/m, Y/m; Z/m) at every prime p > m.
 
     With M the order of p mod m and w_j = -p^(M-1-j) mod m, digit j of
     c - 1 is (w_j Z mod m) p // m, and likewise for a and b.  Floor is
     monotone, so max(a_j, b_j) = max(w_j X mod m, w_j Y mod m) p // m, and p
-    is bounded iff c_j <= max(a_j, b_j) for every j < M.
+    is bounded iff c_j <= max(a_j, b_j) for every j < M.  M and the w_j
+    depend only on r = p mod m, so the (M, triples) residue tables are built
+    once per class r and every prime of the class is evaluated against them
+    in one broadcast, in chunks of at most ``_DIGIT_CELLS`` (prime, digit,
+    triple) cells.  The products stay below m * max(p): int32 when that
+    fits, int64 otherwise.
+
+    Returns ``out[t, k]``, the verdict for triple t at ``primes[k]``.  Given
+    ``flip``, a bool (triples, primes) array, the verdicts are XORed into it
+    in place and ``flip`` is returned, so no second such array is built.
     """
-    M = mod_order(p, m)
-    ok = np.ones(len(Z), dtype=bool)
-    for j in range(M):
-        w = -pow(p, M - 1 - j, m) % m
-        ok &= (w * Z % m) * p // m <= np.maximum(w * X % m, w * Y % m) * p // m
-    return ok
+    primes = np.asarray(primes, dtype=np.int64)
+    out = np.zeros((len(Z), len(primes)), dtype=bool) if flip is None else flip
+    if len(Z) == 0 or len(primes) == 0:
+        return out
+    wide = np.int32 if m * int(primes.max()) <= np.iinfo(np.int32).max else np.int64
+    X, Y, Z = (np.asarray(v, dtype=wide) for v in (X, Y, Z))
+    classes = primes % m
+    for r in set(classes.tolist()):
+        cols = np.flatnonzero(classes == r)
+        M = mod_order(r, m)
+        w = np.array([-pow(r, M - 1 - j, m) % m for j in range(M)], dtype=wide)[:, None]
+        per = max(1, min(len(cols), _DIGIT_CELLS // (M * len(Z))))  # primes
+        rows = max(1, _DIGIT_CELLS // (M * per))  # triples
+        for lo in range(0, len(Z), rows):
+            sl = slice(lo, lo + rows)
+            z = w * Z[sl] % m
+            xy = np.maximum(w * X[sl] % m, w * Y[sl] % m)
+            for i in range(0, len(cols), per):
+                ks = cols[i : i + per]
+                P = primes[ks].astype(wide)[:, None, None]
+                out[sl, ks] ^= (z * P // m <= xy * P // m).all(axis=1).T
+    return out
 
 
-def _mismatches(X, Y, Z, p: int, bad) -> list[tuple]:
-    """The (X, Y, Z, p) tuples of the triples where ``bad`` is true."""
-    t = np.flatnonzero(bad)
-    return list(zip(X[t].tolist(), Y[t].tolist(), Z[t].tolist(), [p] * len(t)))
+def _mismatches(X, Y, Z, primes, bad) -> list[tuple]:
+    """The sorted (X, Y, Z, p) tuples of the cells where ``bad[t, k]`` is true."""
+    t, k = np.nonzero(bad)
+    return sorted(zip(X[t].tolist(), Y[t].tolist(), Z[t].tolist(), primes[k].tolist()))
+
+
+def _check_sweep(m, prime_limit=0) -> None:
+    """Reject a modulus that is not an int >= 2 and a non-int prime limit."""
+    if isinstance(m, bool) or not isinstance(m, int) or m < 2:
+        raise ValueError(f"modulus m must be an int >= 2, got {m!r}")
+    if isinstance(prime_limit, bool) or not isinstance(prime_limit, int):
+        raise ValueError(f"prime_limit must be an int, got {prime_limit!r}")
 
 
 def digit_residue_mismatches(m: int, prime_limit: int = 500) -> list[tuple]:
@@ -70,13 +109,11 @@ def digit_residue_mismatches(m: int, prime_limit: int = 500) -> list[tuple]:
     verdict with membership of p mod m in B.  Returns all mismatches as
     (X, Y, Z, p) tuples; an empty list means full agreement.
     """
+    _check_sweep(m, prime_limit)
     X, Y, Z = modulus_triples(m, m)
-    primes = primes_in_range(m, prime_limit)
-    in_b = bounded_members(m, X, Y, Z, primes)
-    mismatches = []
-    for k, p in enumerate(primes):
-        mismatches += _mismatches(X, Y, Z, p, _digit_bounded(m, X, Y, Z, p) != in_b[:, k])
-    return sorted(mismatches)
+    primes = np.array(primes_in_range(m, prime_limit), dtype=np.int64)
+    bad = _digit_bounded(m, X, Y, Z, primes, flip=bounded_members(m, X, Y, Z, primes))
+    return _mismatches(X, Y, Z, primes, bad)
 
 
 def empirical_digit_mismatches(m: int, prime_limit: int = 50) -> list[tuple]:
@@ -88,12 +125,13 @@ def empirical_digit_mismatches(m: int, prime_limit: int = 50) -> list[tuple]:
     :func:`padic.empirical_bounded_batch`) with the digit-criterion verdict.
     Returns mismatching (X, Y, Z, p).
     """
+    _check_sweep(m, prime_limit)
     X, Y, Z = modulus_triples(m, m)
-    mismatches = []
-    for p in primes_in_range(m, prime_limit):
-        oracle = empirical_bounded_batch(m, X, Y, Z, p, p**3)
-        mismatches += _mismatches(X, Y, Z, p, oracle != _digit_bounded(m, X, Y, Z, p))
-    return sorted(mismatches)
+    primes = np.array(primes_in_range(m, prime_limit), dtype=np.int64)
+    bad = _digit_bounded(m, X, Y, Z, primes)
+    for k, p in enumerate(primes.tolist()):
+        bad[:, k] ^= empirical_bounded_batch(m, X, Y, Z, p, p**3)
+    return _mismatches(X, Y, Z, primes, bad)
 
 
 def zero_density_mismatches(m: int) -> list[tuple]:
@@ -102,6 +140,7 @@ def zero_density_mismatches(m: int) -> list[tuple]:
     On the numerators, c is strictly the smallest parameter exactly when
     Z < X and Z < Y, the form :func:`density.zero_density_criterion` takes.
     """
+    _check_sweep(m)
     X, Y, Z = modulus_triples(m, m)
     bad = (bounded_counts(m, X, Y, Z) == 0) != ((Z < X) & (Z < Y))
     return list(zip(X[bad].tolist(), Y[bad].tolist(), Z[bad].tolist()))

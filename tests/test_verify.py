@@ -2,13 +2,19 @@
 
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from hgdensity import verify
-from hgdensity.arith import HGParams, primes_in_range
+from hgdensity.arith import HGParams, is_prime, modulus_triples, primes_in_range
 from hgdensity.density import zero_density_criterion
+from hgdensity.padic import Verdict, digit_bounded
+
+SWEEPS = [verify.digit_residue_mismatches, verify.zero_density_mismatches,
+          verify.empirical_digit_mismatches]
 
 
 def test_zero_density_criterion_is_the_numerator_form():
@@ -39,6 +45,113 @@ def test_criterion_sweep_reports_every_disagreement(monkeypatch):
     got = verify.digit_residue_mismatches(m, limit)
     assert got == want
     assert all(type(v) is int for row in got for v in row)
+
+
+def test_criterion_sweep_reports_every_digit_disagreement(monkeypatch):
+    # the mirror of the test above, on the digit side of the sweep
+    m, limit = 12, 120
+    primes = primes_in_range(m, limit)
+    k, cell = primes.index(43), (17, primes.index(97))
+    triples = list(verify.params_with_modulus(m))
+    real = verify._digit_bounded
+
+    def flipped(*args, **kwargs):
+        got = real(*args, **kwargs)
+        got[:, k] ^= True
+        got[cell] ^= True
+        return got
+
+    monkeypatch.setattr(verify, "_digit_bounded", flipped)
+    want = sorted([(*t, 43) for t in triples] + [(*triples[cell[0]], 97)])
+    got = verify.digit_residue_mismatches(m, limit)
+    assert got == want
+    assert all(type(v) is int for row in got for v in row)
+
+
+def test_oracle_sweep_reports_a_flipped_prime(monkeypatch):
+    # flipping every oracle verdict at one prime turns the mismatches there
+    # into their complement and leaves every other prime's alone
+    m, p = 5, 29
+    before = verify.empirical_digit_mismatches(m)
+    real = verify.empirical_bounded_batch
+
+    def flipped(m, X, Y, Z, q, N):
+        got = real(m, X, Y, Z, q, N)
+        return ~got if q == p else got
+
+    monkeypatch.setattr(verify, "empirical_bounded_batch", flipped)
+    after = verify.empirical_digit_mismatches(m)
+    at_p = {t[:3] for t in before if t[3] == p}
+    assert 0 < len(at_p) and {t for t in before if t[3] != p} == {t for t in after if t[3] != p}
+    assert {t[:3] for t in after if t[3] == p} == set(verify.params_with_modulus(m)) - at_p
+    assert all(type(v) is int for row in after for v in row)
+
+
+def _digit_pins(m, triples, primes):
+    """The evaluator against the iterated p-adic division of padic.digit_bounded."""
+    X, Y, Z = (np.array(v, dtype=np.int64) for v in zip(*triples))
+    got = verify._digit_bounded(m, X, Y, Z, primes)
+    assert got.shape == (len(triples), len(primes))
+    for t, (x, y, z) in enumerate(triples):
+        params = HGParams(Fraction(x, m), Fraction(y, m), Fraction(z, m))
+        for k, p in enumerate(primes):
+            want = digit_bounded(params, p).kind is Verdict.BOUNDED
+            assert got[t, k] == want, (x, y, z, m, p)
+
+
+def test_digit_evaluator_matches_padic_division():
+    # every triple of modulus m <= 9 at every prime m < p < 100
+    for m in range(3, 10):
+        _digit_pins(m, list(verify.params_with_modulus(m)), primes_in_range(m, 100))
+
+
+def test_digit_evaluator_int64_path():
+    # m * p passes 2^31 from the first prime on, so the evaluator works in
+    # int64; from 2^31 / 29 on the products of the large residues do too
+    m = 30
+    primes = []
+    for d in (30, 29, 25, 20, 16):
+        p = 2**31 // d + 1
+        while not is_prime(p) or p in primes:
+            p += 1
+        primes += [p, next(q for q in range(p + 2, p + 1000) if is_prime(q))]
+    triples = [(1, 29, 7), (29, 1, 11), (13, 17, 19), (23, 7, 29), (11, 19, 1),
+               (17, 27, 9), (7, 13, 1), (29, 23, 17)]
+    _digit_pins(m, triples, primes)
+
+
+def test_criterion_sweep_memory_is_bounded():
+    # chunked evaluation; a second (triples x primes) array, or unchunked
+    # (prime, digit, triple) tables, would exceed the bound
+    tracemalloc.start()
+    try:
+        verify.digit_residue_mismatches(29, 500)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("sweep", SWEEPS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("m", [1, 0, -5, 12.0, True])
+def test_sweeps_reject_bad_modulus(sweep, m):
+    with pytest.raises(ValueError, match="modulus m"):
+        sweep(m)
+
+
+@pytest.mark.parametrize("sweep", [verify.digit_residue_mismatches,
+                                   verify.empirical_digit_mismatches],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("limit", [120.0, True, "120"])
+def test_sweeps_reject_bad_prime_limit(sweep, limit):
+    with pytest.raises(ValueError, match="prime_limit"):
+        sweep(5, limit)
+
+
+@pytest.mark.parametrize("sweep", SWEEPS, ids=lambda f: f.__name__)
+def test_sweeps_at_modulus_two_are_empty(sweep):
+    # every numerator is 1, so Z != X leaves no triple
+    assert sweep(2) == []
 
 
 def test_zero_density_sweep_reports_every_disagreement(monkeypatch):

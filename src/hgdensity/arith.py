@@ -19,6 +19,11 @@ from .errors import HypothesisError, IntegralParameter, NotAUnit
 
 log = logging.getLogger(__name__)
 
+# the most entries of a table indexed by residue, mod m or mod p, that the
+# library builds: 16 MiB as a bool mask and 128 MiB as int64, while the
+# largest moduli in everyday use stay below 10^6
+TABLE_LIMIT = 1 << 24
+
 
 def frac_part(q: Fraction) -> Fraction:
     """Fractional part {q} = q - floor(q), always in [0, 1)."""
@@ -213,8 +218,20 @@ class ResidueSet:
         return len(self.members)
 
 
+def check_table_size(n: int, name: str) -> None:
+    """ValueError before a table of n residues is built, if n > TABLE_LIMIT."""
+    if n > TABLE_LIMIT:
+        raise ValueError(f"{name}={n} is too large: tables of one entry per residue "
+                         f"are limited to {TABLE_LIMIT} entries")
+
+
 def unit_mask(m: int) -> np.ndarray:
-    """Length-m boolean sieve, true at the units of Z/mZ (at 0 for m = 1)."""
+    """Length-m boolean sieve, true at the units of Z/mZ (at 0 for m = 1).
+
+    The first table of every modulus-sized computation in :mod:`density`,
+    so m > ``TABLE_LIMIT`` is refused here with ValueError.
+    """
+    check_table_size(m, "modulus m")
     mask = np.ones(m, dtype=bool)
     for p, _ in factorize(m):
         mask[::p] = False

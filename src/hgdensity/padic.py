@@ -22,6 +22,10 @@ from .errors import HypothesisError, PrimeTooSmall
 # at once, which bounds its temporaries to a few arrays of this many entries
 _ORACLE_CELLS = 1 << 15
 
+# the one-triple oracle builds its events as whole int64 arrays, about
+# 4 N / (p - 1) entries per array; a horizon that needs more is refused
+_EVENT_LIMIT = 1 << 22
+
 
 class Verdict(Enum):
     BOUNDED = "BOUNDED"
@@ -240,6 +244,9 @@ def empirical_bounded(params: HGParams, p: int, N: int) -> BoundednessVerdict:
     """
     if N < 1:
         raise ValueError(f"N={N} must be >= 1: no coefficient would be examined")
+    if 4 * N // (p - 1) > _EVENT_LIMIT:
+        raise ValueError(f"N={N} is too large: about {4 * N // (p - 1)} valuation "
+                         f"events at p={p}, against a limit of {_EVENT_LIMIT}")
     pos, deltas = _valuation_deltas(params, p, N)
     vals = np.cumsum(deltas)  # valuation right after each event
     drops, _ = _descents(vals, np.array(np.iinfo(vals.dtype).min))
@@ -255,19 +262,27 @@ def _class_valuations(m: int, p: int, N: int, cols: range) -> np.ndarray:
     """v_p(t + k m) at the k < N of the class k = -t/m mod p, block by block.
 
     Row t in 1..m, column j for k in block j of p consecutive k (0 where
-    k >= N); row 0 is all 0.
+    k >= N); row 0 is all 0.  With k0 the least k of the class, t + k m is
+    p (c + j m) for c = (t + k0 m) / p, so v_p is 1 except on the class of
+    j mod p where p divides c + j m; only those columns are divided out.
     """
-    t = np.arange(1, m + 1, dtype=np.int64)[:, None]
-    k = (-t * pow(m, -1, p)) % p + p * np.arange(cols.start, cols.stop, dtype=np.int64)
-    x = (t + k * m) // p  # p divides t + k m on its class
+    inv = pow(m, -1, p)
+    t = np.arange(1, m + 1, dtype=np.int64)
+    k0 = -t * inv % p
+    c = (t + k0 * m) // p
     table = np.zeros((m + 1, len(cols)), dtype=np.int8)
-    v = table[1:]
-    v[...] = k < N
-    more = (x % p == 0) & (k < N)
-    while more.any():
-        v += more
-        x[more] //= p
-        more &= x % p == 0
+    table[1:] = np.arange(cols.start, cols.stop) < (N - k0[:, None] + p - 1) // p
+    jj = (-c * inv - cols.start) % p  # first column of the class, then every p-th
+    jj = jj[:, None] + p * np.arange(-(-len(cols) // p))
+    r, q = np.nonzero(jj < len(cols))
+    o = jj[r, q]
+    live = table[r + 1, o] == 1  # k < N
+    r, o = r[live], o[live]
+    x = (c[r] + (cols.start + o) * m) // p
+    while len(x):
+        table[r + 1, o] += 1
+        more = x % p == 0
+        r, o, x = r[more], o[more], x[more] // p
     return table
 
 
@@ -283,9 +298,28 @@ def empirical_bounded_batch(m: int, X, Y, Z, p: int, N: int) -> np.ndarray:
     with equal numerators merged into one event as :func:`_valuation_deltas`
     collapses repeated positions.  A running sum gives the coefficient
     valuations, and :func:`_descents` the verdict.  (X, Y, Z) and (Y, X, Z)
-    are evaluated once.  Work goes in blocks of at most ``_ORACLE_CELLS``
-    cells, carrying each triple's valuation and negative maximum across
-    column blocks.  Returns a bool array, true where the verdict is BOUNDED.
+    are evaluated once.
+
+    Only the super-blocks (p consecutive blocks) that can change a verdict
+    are evaluated.  A super-block is regular for a row when its p table
+    entries all lie in {1, 2}: every k < N and no v_p >= 3.  p^2 divides
+    t + k m on one class of the block index mod p, so all regular
+    super-blocks of a row are equal, and one regular for all four rows of a
+    triple repeats the triple's events.  Those sum to zero (the weights
+    1, 1, -1, -1 do), so each copy in a run of regular super-blocks starts
+    from the level the run started from; the second copy meets every
+    valuation the first did, so it leaves the negative maximum where it
+    found it, and every later copy finds the descents the second found.
+    Each triple therefore keeps its irregular super-blocks and the first two
+    of each regular run.  Rows of kept super-blocks are padded with an
+    all-zero super-block, whose events repeat the last valuation and so are
+    descents only after one.  At N = p^3 each row has one irregular
+    super-block, and a triple keeps at most 14 of the p.
+
+    Work goes in spans of super-blocks and chunks of triples of at most
+    ``_ORACLE_CELLS`` cells, carrying each triple's valuation and negative
+    maximum, and each row's regularity of the last two super-blocks, across
+    spans.  Returns a bool array, true where the verdict is BOUNDED.
     """
     if N < 1:
         raise ValueError(f"N={N} must be >= 1: no coefficient would be examined")
@@ -318,19 +352,32 @@ def empirical_bounded_batch(m: int, X, Y, Z, p: int, N: int) -> np.ndarray:
         same = nums[:, i] == nums[:, i + 1]
         weights[same, i + 1] += weights[same, i]
         weights[same, i] = 0
-    blocks = -(-N // p)
-    cols = min(blocks, max(1, _ORACLE_CELLS // (4 * (m + 1))))
-    rows = max(1, _ORACLE_CELLS // (4 * cols))
+    supers = -(-N // (p * p))
+    span = min(supers, max(1, _ORACLE_CELLS // ((m + 1) * p) - 1))
     level = np.zeros(len(key), dtype=np.int8)
     best = np.full(len(key), np.iinfo(np.int8).min, dtype=np.int8)
     unbounded = np.zeros(len(key), dtype=bool)
-    for c0 in range(0, blocks, cols):
-        span = range(c0, min(blocks, c0 + cols))
-        table = _class_valuations(m, p, N, span)
+    before = np.zeros((m + 1, 2), dtype=bool)  # the two super-blocks before s0
+    for s0 in range(0, supers, span):
+        n = min(span, supers - s0)
+        block = _class_valuations(m, p, N, range(s0 * p, (s0 + n) * p)).reshape(m + 1, n, p)
+        table = np.zeros((m + 1, n + 1, p), dtype=np.int8)  # super-block n is all 0
+        table[:, :n] = block
+        regular = np.concatenate((before, ((block >= 1) & (block <= 2)).all(axis=2)), axis=1)
+        before = regular[:, -2:]
+        # with at most i irregular super-blocks per row, a triple has at most
+        # 4 i and keeps at most 3 (4 i) + 2: chunks are sized for that width
+        irregular = n - np.count_nonzero(regular[1:, 2:], axis=1).min()
+        rows = max(1, _ORACLE_CELLS // (4 * p * min(n, 12 * irregular + 2)))
         for r0 in range(0, len(key), rows):
             sl = slice(r0, r0 + rows)
-            events = (table[nums[sl]] * weights[sl, :, None]).transpose(0, 2, 1)
-            vals = np.cumsum(events.reshape(len(events), -1), axis=1, dtype=np.int8)
+            ok = regular[nums[sl]].all(axis=1)
+            keep = ~(ok[:, 2:] & ok[:, 1:-1] & ok[:, :-2])
+            sel = np.sort(np.where(keep, np.arange(n), n), axis=1)
+            sel = sel[:, :max(1, np.count_nonzero(keep, axis=1).max())]
+            events = table[nums[sl, :, None], sel[:, None]] * weights[sl, :, None, None]
+            events = events.transpose(0, 2, 3, 1).reshape(len(sel), -1)
+            vals = np.cumsum(events, axis=1, dtype=np.int8)
             vals += level[sl, None]
             drops, best[sl] = _descents(vals, best[sl])
             unbounded[sl] |= drops.any(axis=1)

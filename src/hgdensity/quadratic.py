@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import ResidueSet, check_prime
+from .arith import ResidueSet, check_prime, check_table_size
 from .errors import HypothesisError
 
 
@@ -43,6 +43,7 @@ def legendre(y: int, p: int) -> int:
 
 def _residue_mask(p: int) -> np.ndarray:
     """Length-p boolean mask, true at the nonzero quadratic residues mod p."""
+    check_table_size(p, "p")
     y = np.arange(1, p, dtype=np.int64)
     mask = np.zeros(p, dtype=bool)
     mask[y * y % p] = True  # y * y < p^2: exact in int64 for p < 3 * 10^9
@@ -55,10 +56,15 @@ def quadratic_residues(p: int) -> frozenset[int]:
 
 
 def _check_3_mod_4(p: int):
-    """check_prime, then HypothesisError unless p = 3 mod 4 and p > 3."""
+    """check_prime, then HypothesisError unless p = 3 mod 4 and p > 3.
+
+    Every caller builds tables or lists of p entries, so p above
+    ``arith.TABLE_LIMIT`` is a ValueError.
+    """
     check_prime(p)
     if p % 4 != 3 or p <= 3:
         raise HypothesisError(f"p={p} must be a prime = 3 mod 4 with p > 3")
+    check_table_size(p, "p")
 
 
 @dataclass(frozen=True)
@@ -94,6 +100,7 @@ def least_nonresidue(p: int) -> int:
 def _products(x: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """y = 1, ..., p-1 and [xy]_p, for a prime p and x not 0 mod p."""
     check_prime(p)
+    check_table_size(p, "p")
     if x % p == 0:
         raise HypothesisError(f"x={x} is 0 mod p={p}")
     y = np.arange(1, p, dtype=np.int64)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hgdensity import verify
 from hgdensity.arith import (
+    TABLE_LIMIT,
     HGParams,
     ResidueSet,
     euler_phi,
@@ -22,6 +23,7 @@ from hgdensity.arith import (
     normalize_params,
     primes_in_range,
     primes_up_to,
+    unit_mask,
     units_mod,
 )
 from hgdensity.errors import IntegralParameter
@@ -184,6 +186,16 @@ def test_units_mod_matches_gcd():
     assert units_mod(1) == [0]
     for m in range(2, 300):
         assert units_mod(m) == [u for u in range(1, m) if math.gcd(u, m) == 1]
+
+
+def test_unit_mask_refuses_a_modulus_beyond_the_table_limit(monkeypatch):
+    import sys
+
+    assert TABLE_LIMIT >= 20 * 5 * 10**5  # far above the moduli in everyday use
+    monkeypatch.setattr(sys.modules["hgdensity.arith"], "TABLE_LIMIT", 100)
+    assert unit_mask(100).sum() == 40
+    with pytest.raises(ValueError, match="modulus m=101 is too large"):
+        unit_mask(101)
 
 
 def test_is_prime_matches_sieve():

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import signal
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -213,6 +214,28 @@ def test_invalid_prime_or_horizon_exit_codes(capsys, argv, code):
     got, out, err = run(capsys, *argv)
     assert got == code and out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounded", "1/3", "1/3", "2/3", "7", "--empirical", "1000000000000000"],
+        ["quad", "class-number", "1000000000039"],
+        ["quad", "wset", "5", "1000000000039"],
+        ["density", "1/997", "1/991", "1/983"],
+    ],
+)
+def test_huge_inputs_are_refused_before_allocating(capsys, argv):
+    # each would build arrays of gigabytes or more; refused with one line
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "too large" in err
+    assert peak < 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 def test_malformed_fraction_is_usage_error(capsys):

@@ -284,6 +284,16 @@ def test_cycle_walk_rejects_moduli_beyond_int64(monkeypatch):
         _cycle_walk(ok, 1, 2, 3)
 
 
+def test_cycle_walk_refuses_moduli_beyond_the_table_limit():
+    # m = 997 * 991 * 983 = 971230541: its unit tables alone would take
+    # gigabytes; unit_mask, the walk's first table, refuses it
+    pr = params(Fraction(1, 997), Fraction(1, 991), Fraction(1, 983))
+    assert pr.m == 971230541
+    for call in (bounded_residues, density, record):
+        with pytest.raises(ValueError, match="modulus m=971230541 is too large"):
+            call(pr)
+
+
 def test_bounded_counts_chunking_is_invisible(monkeypatch):
     import sys
 

@@ -11,6 +11,8 @@ from hgdensity.arith import HGParams, mod_order, normalize_params, primes_in_ran
 from hgdensity.errors import HypothesisError, PrimeTooSmall
 from hgdensity.padic import (
     Verdict,
+    _class_valuations,
+    _descents,
     coefficient_valuations,
     digit_bounded,
     digits_by_formula,
@@ -207,10 +209,12 @@ def _one_by_one(m, X, Y, Z, p, N):
 
 @pytest.mark.parametrize("m", range(3, 9))
 def test_batched_oracle_equals_per_triple_oracle(m):
-    # at the sweep's horizon p^3 and at one that ends inside a block of p
+    # at the sweep's horizon p^3 and at one that ends inside a block of p;
+    # for p <= 13 also at p^4 + 3, which crosses p^3 with several irregular
+    # super-blocks per row and v_p >= 3 events, and ends inside a block
     X, Y, Z = _batch(m)
     for p in primes_in_range(m, 50):
-        for N in (p**3, p**2 + 7):
+        for N in (p**3, p**2 + 7) + ((p**4 + 3,) if p <= 13 else ()):
             got = empirical_bounded_batch(m, X, Y, Z, p, N)
             assert np.array_equal(got, _one_by_one(m, X, Y, Z, p, N)), (m, p, N)
 
@@ -246,6 +250,47 @@ def test_batched_oracle_chunking_is_invisible(monkeypatch):
         for c, want in whole.items():
             got = empirical_bounded_batch(c[0], *_batch(c[0]), *c[1:])
             assert np.array_equal(got, want), (cap, c)
+
+
+@pytest.mark.parametrize("m, p", [(3, 5), (5, 7), (8, 11), (10, 47)])
+def test_super_blocks_at_the_sweep_horizon(m, p):
+    # the layout the batched oracle relies on: at N = p^3 every row of the
+    # class-valuation table has one super-block (p blocks) with an entry
+    # outside {1, 2}, and all its other super-blocks are equal
+    N = p**3
+    table = _class_valuations(m, p, N, range(p * p)).reshape(m + 1, p, p)[1:]
+    regular = ((table >= 1) & (table <= 2)).all(axis=2)
+    assert (np.count_nonzero(~regular, axis=1) == 1).all()
+    for row, ok in zip(table, regular):
+        assert (row[ok] == row[ok][0]).all()
+        assert np.count_nonzero(row[ok][0] == 2) == 1
+
+
+def test_descents_repeat_from_the_second_copy():
+    # the rule behind skipping regular super-blocks: a block of values that
+    # sums to no change, repeated from one level, finds in its third and
+    # later copies exactly the descents of its second, but the first copy
+    # may find fewer: [-2, -1, 0] has none, then one at -2
+    floor = np.array(np.iinfo(np.int8).min, dtype=np.int8)
+    drops, best = _descents(np.array([-2, -1, 0, -2, -1, 0], dtype=np.int8), floor)
+    assert drops.tolist() == [False, False, False, True, False, False] and best == -1
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        vals = rng.integers(-4, 4, size=int(rng.integers(1, 12))).astype(np.int8)
+        start = np.array(rng.choice([floor, rng.integers(-5, 0)]), dtype=np.int8)
+        drops, best = _descents(np.tile(vals, 4), start)
+        copies = drops.reshape(4, -1)
+        assert (copies[1:] == copies[1]).all()
+        assert best == _descents(np.tile(vals, 2), start)[1]
+
+
+def test_empirical_horizon_beyond_the_event_limit(monkeypatch):
+    # about 4 N / (p - 1) events: refused before any event array is built
+    monkeypatch.setattr(sys.modules["hgdensity.padic"], "_EVENT_LIMIT", 100)
+    pr = params("1/3", "1/3", "2/3")
+    assert empirical_bounded(pr, 7, 151).bounded  # 4 * 151 // 6 = 100
+    with pytest.raises(ValueError, match="too large"):
+        empirical_bounded(pr, 7, 152)
 
 
 def test_batched_oracle_boundary():

@@ -287,3 +287,21 @@ def test_record_w_intersections_for_seven_mod_eight():
                     failures.append((p, u, v))
     if failures:  # informational only, by design
         print(f"\nempty W-set intersections for p = 7 mod 8: {failures[:20]}")
+
+
+def test_huge_prime_is_refused_before_any_table():
+    # p = 1000000000039 is prime and 3 mod 4; its tables would take terabytes
+    p = 1000000000039
+    calls = [
+        lambda: class_number(p),
+        lambda: quadratic_residues(p),
+        lambda: u_set(5, p),
+        lambda: v_set(5, p),
+        lambda: w_set(5, p),
+        lambda: w_count_formula(5, p),
+        lambda: w_intersection_nonempty(2, 3, p),
+        lambda: legendre_interval_sum(3, p),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="too large"):
+            call()

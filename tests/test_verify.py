@@ -132,6 +132,18 @@ def test_criterion_sweep_memory_is_bounded():
     assert peak < 4 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
+def test_oracle_sweep_memory_is_bounded():
+    # chunked valuation oracle; a table of every (triple, event) cell at
+    # p = 47, or int64 class-valuation tables of a whole span, would exceed it
+    tracemalloc.start()
+    try:
+        verify.empirical_digit_mismatches(12, 50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+
+
 @pytest.mark.parametrize("sweep", SWEEPS, ids=lambda f: f.__name__)
 @pytest.mark.parametrize("m", [1, 0, -5, 12.0, True])
 def test_sweeps_reject_bad_modulus(sweep, m):
@@ -172,6 +184,10 @@ ORACLE_MISMATCHES = {
     4: (35, "8e6be10728c4072535a175dca17253d2f18e9e44979195102e81b2a6b9e0f3d1"),
     5: (210, "d65db6d3d9c67ed020d1f1c3d943c9127c2db97f9fd91961a7f8d7d663944847"),
     6: (174, "be49c371879929d705379601d16462c13925f5ca0cb09bbecd0e2c4dbd73b2d5"),
+    7: (691, "de953629ba7877336389310d05d0c5edaea7753eb08fe20ba262f388e33c39ba"),
+    8: (600, "814a2c1f3a5eaf78f417728772db8e90e11cdbd29a9d8dc0bc71b56987233798"),
+    9: (2223, "ccda2fd73b07bf59ed8667dec7e6f2e731df24c7747d51d5a4d92a5d18bc32cb"),
+    10: (2600, "e162b72549ea27ade075f413aa58b40f3a50f041c419eb119472689da7ddae07"),
 }
 
 

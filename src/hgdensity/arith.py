@@ -19,9 +19,9 @@ from .errors import HypothesisError, IntegralParameter, NotAUnit
 
 log = logging.getLogger(__name__)
 
-# the most entries of a table indexed by residue, mod m or mod p, that the
-# library builds: 16 MiB as a bool mask and 128 MiB as int64, while the
-# largest moduli in everyday use stay below 10^6
+# the most entries of a table indexed by residue, mod m or mod p, or by a pair
+# of residues mod p, that the library builds: 16 MiB as a bool mask and
+# 128 MiB as int64, while the largest moduli in everyday use stay below 10^6
 TABLE_LIMIT = 1 << 24
 
 
@@ -219,9 +219,9 @@ class ResidueSet:
 
 
 def check_table_size(n: int, name: str) -> None:
-    """ValueError before a table of n residues is built, if n > TABLE_LIMIT."""
+    """ValueError before a table of n entries is built, if n > TABLE_LIMIT."""
     if n > TABLE_LIMIT:
-        raise ValueError(f"{name}={n} is too large: tables of one entry per residue "
+        raise ValueError(f"{name}={n} is too large: residue tables "
                          f"are limited to {TABLE_LIMIT} entries")
 
 

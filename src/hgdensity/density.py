@@ -33,7 +33,6 @@ _KERNEL_CELLS = 1 << 16
 # them, so it never runs for m <= _FILTER_MIN, where phi(m) < _FILTER_MIN
 _FILTER_MIN = 256
 _FILTER_CUT = 32
-_INT64_MAX = 2**63 - 1
 
 
 def pointwise_condition(params: HGParams, v: int) -> bool:
@@ -66,11 +65,10 @@ def _cycle_walk(m: int, A: int, B: int, C: int) -> list[int]:
     it met into B, since each of them generates a subgroup of <u>; those are
     not walked again.
 
-    The products -vC and w * u stay below m^2 and are formed in int64, so m
-    is limited to (m - 1)^2 <= 2^63 - 1.
+    The products -vC and w * u stay below m^2 and are formed in int64;
+    ``unit_mask`` refuses every m above ``TABLE_LIMIT`` = 2^24 with
+    ValueError, so m^2 <= 2^48.
     """
-    if (m - 1) ** 2 > _INT64_MAX:
-        raise ValueError(f"modulus m={m} too large: (m - 1)^2 exceeds int64")
     units = np.flatnonzero(unit_mask(m))
     neg = -units
     S = units[neg * C % m <= np.maximum(neg * A % m, neg * B % m)]

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .arith import HGParams, euler_phi, factorize, is_prime
+from .arith import HGParams, check_table_size, euler_phi, factorize, is_prime
 from .density import bounded_residues
 from .errors import CaseViolation, HypothesisError, ShapeMismatch
 
@@ -172,63 +172,98 @@ def _pattern_table(sp: SpecialPrime, divs: list[int]) -> dict[int, BShape]:
     return table
 
 
-def sweep_special(sp: SpecialPrime) -> SweepResult:
-    """Classify B for every triple (x/p, y/p; z/p) over a special prime.
+def _pattern_sweep(p: int, powg: np.ndarray, divs: list[int]) -> tuple[np.ndarray, int, int]:
+    """Triples (x/p, y/p; z/p) per subgroup pattern, the largest |B| and its key.
 
     The pointwise set of (x, y; z) is determined by s = x/z and t = y/z mod p,
     and u lies in B exactly when the coset z<u> is contained in
-    T(s, t) = {w : [-w]_p <= max([-ws]_p, [-wt]_p)}.  With n = p - 1 and g a
-    primitive root, every unit is w = g^k and the subgroups of the cyclic
-    unit group are H_d = <g^(n/d)> for d | n, so z*H_d lies in T exactly when
-    T holds at every log k = log z (mod n/d).  Reshaping the log-indexed rows
-    of T to (d, n/d) and reducing over the first axis decides that for every
-    z at once.  B is the union of the H_d that fit, so each (t, z) cell gets a
-    pattern: a bitmask over the divisors d, and |B| = sum of phi(d) over its
-    set bits.  Since [-w]_p <= max(a, b) is an OR of two comparisons, each T
-    row is the OR of two rows of one (n, n) comparison table.
+    T(s, t) = {w : [-w]_p <= max([-ws]_p, [-wt]_p)}.  With n = p - 1 and
+    powg[k] = g^k for a primitive root g, the subgroups of the cyclic unit
+    group are H_d = <g^(n/d)> for the divisors d in divs, and z*H_d lies in T
+    exactly when T holds at every log k = log z (mod n/d).  So fits[d], of
+    width n/d, is T's row reduced over the d cosets of that class.  Since
+    [-w]_p <= max(a, b) is an OR of two comparisons, each T row is the OR of
+    two rows of one (n, n) comparison table.
+
+    The reductions follow the least-prime recursion: with l the least prime
+    of d > 1, H_d is l cosets of H_(d/l), so
+    fits[d] = fits[d/l].reshape(rows, l, n/d).all(axis=1) reads the
+    l*n/d columns of its predecessor instead of all n columns of T.
+    B is the union of the H_d that fit, so each (t, z) cell gets a pattern:
+    bit i set when H_(divs[i]) fits, and |B| = sum of phi(d) over its set
+    bits.  The pattern is summed back down the same tree in the narrowest
+    unsigned dtype with a bit per divisor: each divisor's bit column is added,
+    tiled, into its predecessor's, so every divisor reaches the full width
+    along exactly one path and the sum of its distinct bits is their OR.
 
     One s is processed per batch, holding the rows t = s..p-1 (the x <-> y
-    symmetry halves the (s, t) space: off-diagonal rows weigh 2).  Pattern
-    counts are mapped to shapes through a table built once from the
-    subgroup orders of enumerate_b_shapes; a pattern that matches no shape
-    raises ShapeMismatch.
+    symmetry halves the (s, t) space: off-diagonal rows weigh 2).  Returns
+    the count of ordered triples per pattern, the largest |B| and the key
+    min(x, y)*p^2 + max(x, y)*p + z of the lexicographically least triple
+    attaining it.
     """
-    p = sp.p
     n = p - 1
-    powg, divs = _lattice(p)  # powg[k] = g^k
-    table = _pattern_table(sp, divs)
     pattern = np.arange(1 << len(divs))
     sizes = sum(euler_phi(d) * (pattern >> i & 1) for i, d in enumerate(divs))
+    up = [divs.index(d // factorize(d)[0][0]) for d in divs[1:]]  # index of d/l
+    dtype = np.min_scalar_type(pattern[-1])  # uint16 for up to 16 divisors
     log = np.zeros(p, dtype=np.intp)
     log[powg] = np.arange(n)
     # le[e, k] = [[-g^k]_p <= [g^(e+k)]_p], so with w = g^k the condition
     # [-w]_p <= [-wt]_p is row log(-t), and -1 = g^(n/2)
     shifted = sliding_window_view(np.concatenate([powg, powg[:-1]]), n)
     le = shifted[n // 2] <= shifted
-    counts = np.zeros(1 << len(divs), dtype=np.int64)
+    counts = np.zeros(len(pattern), dtype=np.int64)
     best_size, best_key = -1, 0
-    batch = np.empty((p - 2, n), dtype=np.intp)  # the largest batch, s = 2
     for s in range(2, p):
         t = np.arange(s, p)
         rows = len(t)
-        T = le[log[p - s]] | le[log[p - t]]
-        mask = batch[:rows]
-        mask.fill(0)
-        for i, d in enumerate(divs):
-            fits = T.reshape(rows, d, n // d).all(axis=1)
-            cosets = mask.reshape(rows, d, n // d)
-            np.bitwise_or(cosets, 1 << i, out=cosets, where=fits[:, None, :])
-        found = np.bincount(mask.ravel(), minlength=len(counts))
+        fits = [le[log[p - s]] | le[log[p - t]]]
+        for d, i in zip(divs[1:], up):
+            fits.append(fits[i].reshape(rows, d // divs[i], n // d).all(axis=1))
+        pats = [f * dtype.type(1 << i) for i, f in enumerate(fits)]
+        del fits
+        for d, i in zip(divs[:0:-1], up[::-1]):  # each divisor after its multiples
+            child = pats.pop()
+            pats[i].reshape(rows, d // divs[i], n // d)[...] += child[:, None, :]
+        (mask,) = pats
+        found = np.zeros(len(counts), dtype=np.int64)
+        np.add.at(found, mask.ravel(), 1)  # bincount would copy mask to intp
         counts += 2 * found - np.bincount(mask[0], minlength=len(counts))
         top = int(sizes[found > 0].max())
         if top < best_size:
             continue
-        r, j = np.nonzero((sizes == top)[mask])
+        hit = np.zeros(mask.shape, dtype=bool)
+        for m in np.flatnonzero((sizes == top) & (found > 0)).tolist():
+            hit |= mask == m
+        r, j = np.divmod(np.flatnonzero(hit), n)
         z = powg[j]
         x, y = s * z % p, t[r] * z % p
         key = int((np.minimum(x, y) * p * p + np.maximum(x, y) * p + z).min())
         if top > best_size or key < best_key:
             best_size, best_key = top, key
+    return counts, best_size, best_key
+
+
+def sweep_special(sp: SpecialPrime) -> SweepResult:
+    """Classify B for every triple (x/p, y/p; z/p) over a special prime.
+
+    :func:`_pattern_sweep` counts the triples per subgroup pattern, building
+    each subgroup's coset-fit table from its maximal subgroup's (the
+    least-prime recursion) and holding the patterns in the narrowest
+    unsigned dtype, uint16 for up to 16 divisors of p - 1.  The counts are
+    mapped to shapes through a table built once from the subgroup orders of
+    enumerate_b_shapes, and a pattern that matches no shape raises
+    ShapeMismatch.  The sweep holds (p - 1)^2 comparison cells, so p - 1
+    above the square root of ``TABLE_LIMIT`` is refused with ValueError
+    before anything is built.
+    """
+    p = sp.p
+    n = p - 1
+    check_table_size(n * n, f"special prime p={p}: (p - 1)^2")
+    powg, divs = _lattice(p)
+    table = _pattern_table(sp, divs)
+    counts, best_size, best_key = _pattern_sweep(p, powg, divs)
     for m in np.flatnonzero(counts).tolist():
         if m not in table:
             orders = [d for i, d in enumerate(divs) if m >> i & 1]

@@ -171,18 +171,12 @@ def test_exit_code_hypothesis_violation(capsys):
     assert code == 1 and "force-large" in err
 
 
-def test_modulus_beyond_int64_is_usage_error(capsys, monkeypatch):
-    import sys
-
-    def no_alloc(m):
-        raise AssertionError(f"unit_mask({m}) reached")
-
-    monkeypatch.setattr(sys.modules["hgdensity.density"], "unit_mask", no_alloc)
-    big = "/3037000501"  # (m - 1)^2 > 2^63 - 1
+def test_modulus_beyond_int64_is_usage_error(capsys):
+    big = "/3037000501"  # (m - 1)^2 > 2^63 - 1, far above the table limit
     for cmd in ("density", "residues"):
         code, out, err = run(capsys, cmd, "1" + big, "2" + big, "3" + big)
         assert code == 2 and out == ""
-        assert err.count("\n") == 1 and "int64" in err
+        assert err.count("\n") == 1 and "too large" in err
 
 
 def test_exit_code_usage_error(capsys):
@@ -223,6 +217,7 @@ def test_invalid_prime_or_horizon_exit_codes(capsys, argv, code):
         ["quad", "class-number", "1000000000039"],
         ["quad", "wset", "5", "1000000000039"],
         ["density", "1/997", "1/991", "1/983"],
+        ["special", "39367", "--max-density"],  # 2 * 3^9 + 1
     ],
 )
 def test_huge_inputs_are_refused_before_allocating(capsys, argv):

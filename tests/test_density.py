@@ -263,25 +263,17 @@ def test_cycle_walk_dense_b():
     assert walk == units_mod(m)
 
 
-def test_cycle_walk_rejects_moduli_beyond_int64(monkeypatch):
-    import sys
-
-    kernel = sys.modules["hgdensity.density"]
-
-    def no_alloc(m):
-        raise AssertionError(f"unit_mask({m}) reached")
-
-    monkeypatch.setattr(kernel, "unit_mask", no_alloc)
-    # (m - 1)^2 <= 2^63 - 1 exactly for m <= 3037000500
+def test_cycle_walk_rejects_moduli_beyond_int64():
+    # (m - 1)^2 exceeds 2^63 - 1 exactly for m > 3037000500, far above
+    # TABLE_LIMIT, so unit_mask, the walk's first table, refuses every such m
     assert math.isqrt(2**63 - 1) == 3037000499
     big = 3037000501
     pr = params(Fraction(1, big), Fraction(2, big), Fraction(3, big))
     for call in (bounded_residues, density, record):
-        with pytest.raises(ValueError, match="int64"):
+        with pytest.raises(ValueError, match=f"modulus m={big} is too large"):
             call(pr)
-    ok = big - 1
-    with pytest.raises(AssertionError, match="reached"):
-        _cycle_walk(ok, 1, 2, 3)
+    with pytest.raises(ValueError, match="too large"):
+        _cycle_walk(big - 1, 1, 2, 3)
 
 
 def test_cycle_walk_refuses_moduli_beyond_the_table_limit():

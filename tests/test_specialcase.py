@@ -3,11 +3,13 @@
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from hgdensity.arith import ResidueSet, normalize_params
+from hgdensity.arith import ResidueSet, euler_phi, modulus_triples, normalize_params
 from hgdensity.density import (
     DivisorAntichain,
+    bounded_counts,
     bounded_residues,
     density,
     subgroup_union_size,
@@ -167,6 +169,47 @@ def test_sweep_matches_brute_force_at_19():
     assert (res.max_density, res.witness) == best == (Fraction(1, 3), (1, 7, 4))
 
 
+def survey_kernel_summary(p):
+    """|B| histogram, largest |B| and lex-least witness over every triple mod p.
+
+    The survey kernel shares no code with the sweep: it tests each triple's
+    cyclic subgroups in unit coordinates, with no discrete log.
+    """
+    X, Y, Z = modulus_triples(p, p)
+    sizes = bounded_counts(p, X, Y, Z)
+    top = int(sizes.max())
+    i = np.flatnonzero(sizes == top)
+    lo, hi = np.minimum(X[i], Y[i]), np.maximum(X[i], Y[i])
+    return Counter(sizes.tolist()), top, min(zip(lo.tolist(), hi.tolist(), Z[i].tolist()))
+
+
+@pytest.mark.parametrize("p", [47, 59, 83, 107])
+def test_sweep_agrees_with_the_survey_kernel(p):
+    res = sweep_special(parse_special_prime(p))
+    shapes = {s.label(): s for s in enumerate_b_shapes(res.sp)}
+    hist = Counter()
+    for label, count in res.shape_counts.items():
+        hist[shapes[label].density * (p - 1)] += count
+    want, top, witness = survey_kernel_summary(p)
+    assert (hist, res.max_density, res.witness) == (want, Fraction(top, p - 1), witness)
+
+
+@pytest.mark.parametrize("p", [13, 31, 61, 73])
+def test_pattern_kernel_agrees_with_the_survey_kernel_at_any_prime(p):
+    # the kernel needs only a cyclic unit group; at these primes no shape
+    # table applies, distinct subgroup patterns share a size, and at 61 and
+    # 73 the lex-least witness lies in the second pattern of the top size
+    assert parse_special_prime(p) is None
+    powg, divs = specialcase._lattice(p)
+    counts, top, key = specialcase._pattern_sweep(p, powg, divs)
+    hist = Counter()
+    for m in np.flatnonzero(counts).tolist():
+        size = sum(euler_phi(d) for i, d in enumerate(divs) if m >> i & 1)
+        hist[size] += int(counts[m])
+    witness = (key // (p * p), key // p % p, key % p)
+    assert (hist, top, witness) == survey_kernel_summary(p)
+
+
 # Computed by an independent per-triple coset descent, not by the kernel
 # under test; the 163 values are also the benchmark's references.
 R_GT_1_SWEEPS = {
@@ -186,6 +229,18 @@ R_GT_1_SWEEPS = {
         },
         Fraction(1, 25),
         (1, 5, 3),
+    ),
+    # captured from the sweep at 89632cb, before its least-prime recursion,
+    # when every subgroup's fit was reduced from the full row
+    487: (  # 2 * 3^5 + 1
+        {
+            "EMPTY": 38145735, "FULL(3)": 3744, "FULL(4)": 3385944,
+            "FULL(5)": 20952360, "HALF(3)": 1673012, "HALF(4)": 15551944,
+            "HALF(5)": 20920779, "UNION(3,4)": 350664, "UNION(3,5)": 1279828,
+            "UNION(4,5)": 12055340,
+        },
+        Fraction(1, 27),
+        (1, 73, 37),
     ),
 }
 

@@ -17,6 +17,11 @@ from .arith import HGParams, check_table_size, euler_phi, factorize, is_prime
 from .density import bounded_residues
 from .errors import CaseViolation, HypothesisError, ShapeMismatch
 
+# the pattern sweep evaluates at most this many (row, unit) cells at once,
+# unless one s alone holds more, which bounds its temporaries to a few
+# arrays of this many entries
+_SWEEP_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class SpecialPrime:
@@ -27,8 +32,19 @@ class SpecialPrime:
     r: int
 
     def __post_init__(self):
-        assert self.p == 2 * self.q**self.r + 1
-        assert self.p % 4 == 3 and self.p > 3
+        # r is bounded before q**r is formed; q odd and r >= 1 give p > 3
+        # and p = 3 mod 4
+        if not (
+            0 < self.r < self.p.bit_length()
+            and self.q % 2 == 1
+            and self.p == 2 * self.q**self.r + 1
+            and is_prime(self.q)
+            and is_prime(self.p)
+        ):
+            raise ValueError(
+                f"p={self.p}, q={self.q}, r={self.r} is not a prime p = 2*q^r + 1"
+                " with q an odd prime"
+            )
 
 
 def parse_special_prime(p: int) -> SpecialPrime | None:
@@ -75,7 +91,8 @@ def _shape(sp: SpecialPrime, j: int | None, k: int | None) -> BShape:
         return BShape("HALF", j, None, Fraction(1, 2 * q**j), (q ** (r - j),))
     if j == k:
         return BShape("FULL", None, k, Fraction(1, q**k), (2 * q ** (r - k),))
-    assert j is not None and j < k, f"impossible shape j={j}, k={k}"
+    if j is None or j > k:
+        raise ValueError(f"impossible shape j={j}, k={k}")
     orders = (q ** (r - j), 2 * q ** (r - k))
     return BShape("UNION", j, k, Fraction(q ** (k - j) + 1, 2 * q**k), orders)
 
@@ -123,8 +140,20 @@ def _members(powers: np.ndarray, orders: tuple[int, ...]) -> frozenset[int]:
 
 
 def shape_members(sp: SpecialPrime, shape: BShape) -> frozenset[int]:
-    """The explicit subset of (Z/pZ)^x described by a shape."""
-    return _members(_lattice(sp.p)[0], shape.orders)
+    """The explicit subset of (Z/pZ)^x described by a shape.
+
+    Walks only the subgroups of the shape's orders, H_d = <g^(n/d)>, so
+    the cost is O(|members|) beyond finding the primitive root g.
+    """
+    p, n = sp.p, sp.p - 1
+    g = find_generator(p)
+    out = set()
+    for d in shape.orders:
+        h, w = pow(g, n // d, p), 1
+        for _ in range(d):
+            out.add(w)
+            w = w * h % p
+    return frozenset(out)
 
 
 def classify_b(params: HGParams) -> BShape:
@@ -167,7 +196,11 @@ def _pattern_table(sp: SpecialPrime, divs: list[int]) -> dict[int, BShape]:
     for shape in enumerate_b_shapes(sp):
         bits = [i for i, d in enumerate(divs) if any(e % d == 0 for e in shape.orders)]
         size = sum(euler_phi(divs[i]) for i in bits)
-        assert size == shape.density * n, f"{shape.label()} has {size} members"
+        if size != shape.density * n:
+            raise ShapeMismatch(
+                f"{shape.label()} over p={sp.p} has {size} members, not"
+                f" {shape.density} * {n}"
+            )
         table[sum(1 << i for i in bits)] = shape
     return table
 
@@ -189,16 +222,19 @@ def _pattern_sweep(p: int, powg: np.ndarray, divs: list[int]) -> tuple[np.ndarra
     of d > 1, H_d is l cosets of H_(d/l), so
     fits[d] = fits[d/l].reshape(rows, l, n/d).all(axis=1) reads the
     l*n/d columns of its predecessor instead of all n columns of T.
-    B is the union of the H_d that fit, so each (t, z) cell gets a pattern:
+    B is the union of the H_d that fit, so each (row, z) cell gets a pattern:
     bit i set when H_(divs[i]) fits, and |B| = sum of phi(d) over its set
     bits.  The pattern is summed back down the same tree in the narrowest
     unsigned dtype with a bit per divisor: each divisor's bit column is added,
     tiled, into its predecessor's, so every divisor reaches the full width
     along exactly one path and the sum of its distinct bits is their OR.
 
-    One s is processed per batch, holding the rows t = s..p-1 (the x <-> y
-    symmetry halves the (s, t) space: off-diagonal rows weigh 2).  Returns
-    the count of ordered triples per pattern, the largest |B| and the key
+    Consecutive s are processed in blocks of whole s: row r of a block is
+    the pair (s[r], t[r]) with t >= s (the x <-> y symmetry halves the
+    (s, t) space: off-diagonal rows weigh 2), and a block takes the next s
+    while its rows times p - 1 stay within ``_SWEEP_CELLS``; an s over that
+    budget alone is a block of its own.  Returns the count of ordered
+    triples per pattern, the largest |B| and the key
     min(x, y)*p^2 + max(x, y)*p + z of the lexicographically least triple
     attaining it.
     """
@@ -215,10 +251,20 @@ def _pattern_sweep(p: int, powg: np.ndarray, divs: list[int]) -> tuple[np.ndarra
     le = shifted[n // 2] <= shifted
     counts = np.zeros(len(pattern), dtype=np.int64)
     best_size, best_key = -1, 0
-    for s in range(2, p):
-        t = np.arange(s, p)
-        rows = len(t)
-        fits = [le[log[p - s]] | le[log[p - t]]]
+    lo = 2
+    while lo < p:
+        hi, rows = lo + 1, p - lo
+        while hi < p and (rows + p - hi) * n <= _SWEEP_CELLS:
+            rows, hi = rows + p - hi, hi + 1
+        span = np.arange(lo, hi)
+        lens = p - span
+        diag = np.cumsum(lens) - lens  # the row t = s of each s
+        s = np.repeat(span, lens)
+        t = np.arange(rows) - np.repeat(diag - span, lens)
+        lo = hi
+        fits = [le[log[p - t]]]  # OR each s's row into its rows in place
+        for u, start in zip(span.tolist(), diag.tolist()):
+            fits[0][start:start + p - u] |= le[log[p - u]]
         for d, i in zip(divs[1:], up):
             fits.append(fits[i].reshape(rows, d // divs[i], n // d).all(axis=1))
         pats = [f * dtype.type(1 << i) for i, f in enumerate(fits)]
@@ -229,7 +275,7 @@ def _pattern_sweep(p: int, powg: np.ndarray, divs: list[int]) -> tuple[np.ndarra
         (mask,) = pats
         found = np.zeros(len(counts), dtype=np.int64)
         np.add.at(found, mask.ravel(), 1)  # bincount would copy mask to intp
-        counts += 2 * found - np.bincount(mask[0], minlength=len(counts))
+        counts += 2 * found - np.bincount(mask[diag].ravel(), minlength=len(counts))
         top = int(sizes[found > 0].max())
         if top < best_size:
             continue
@@ -238,7 +284,7 @@ def _pattern_sweep(p: int, powg: np.ndarray, divs: list[int]) -> tuple[np.ndarra
             hit |= mask == m
         r, j = np.divmod(np.flatnonzero(hit), n)
         z = powg[j]
-        x, y = s * z % p, t[r] * z % p
+        x, y = s[r] * z % p, t[r] * z % p
         key = int((np.minimum(x, y) * p * p + np.maximum(x, y) * p + z).min())
         if top > best_size or key < best_key:
             best_size, best_key = top, key
@@ -251,9 +297,12 @@ def sweep_special(sp: SpecialPrime) -> SweepResult:
     :func:`_pattern_sweep` counts the triples per subgroup pattern, building
     each subgroup's coset-fit table from its maximal subgroup's (the
     least-prime recursion) and holding the patterns in the narrowest
-    unsigned dtype, uint16 for up to 16 divisors of p - 1.  The counts are
-    mapped to shapes through a table built once from the subgroup orders of
-    enumerate_b_shapes, and a pattern that matches no shape raises
+    unsigned dtype, uint16 for up to 16 divisors of p - 1.  It runs one
+    kernel pass per block of consecutive s of at most ``_SWEEP_CELLS``
+    cells; an s that alone holds more (the first s once p > 257) is a block
+    of its own.  The counts are mapped to shapes through a table built once
+    from the subgroup orders of enumerate_b_shapes; a pattern that matches
+    no shape, or a total other than (p - 2)^2 (p - 1), raises
     ShapeMismatch.  The sweep holds (p - 1)^2 comparison cells, so p - 1
     above the square root of ``TABLE_LIMIT`` is refused with ValueError
     before anything is built.
@@ -276,7 +325,8 @@ def sweep_special(sp: SpecialPrime) -> SweepResult:
     }
     total = int(counts.sum())
     expected = (p - 2) * (p - 2) * (p - 1)
-    assert total == expected, f"swept {total} triples, expected {expected}"
+    if total != expected:
+        raise ShapeMismatch(f"swept {total} triples over p={p}, expected {expected}")
     return SweepResult(
         sp=sp,
         shape_counts=shape_counts,

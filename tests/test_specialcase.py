@@ -1,12 +1,23 @@
 """Shape classification of B over primes p = 2*q**r + 1."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hgdensity.arith import ResidueSet, euler_phi, modulus_triples, normalize_params
+from hgdensity.arith import (
+    ResidueSet,
+    euler_phi,
+    is_prime,
+    modulus_triples,
+    normalize_params,
+)
 from hgdensity.density import (
     DivisorAntichain,
     bounded_counts,
@@ -17,6 +28,7 @@ from hgdensity.density import (
 from hgdensity.errors import HypothesisError, ShapeMismatch
 from hgdensity.quadratic import legendre, quadratic_residues
 from hgdensity.specialcase import (
+    SpecialPrime,
     classify_b,
     enumerate_b_shapes,
     find_generator,
@@ -89,6 +101,12 @@ def test_shape_members_are_subgroup_unions():
             while w != u:
                 assert w in members
                 w = w * u % sp.p
+    # the subgroup walk against slices of the full list of powers
+    for p in (19, 23, 47, 163, 487):
+        sp = parse_special_prime(p)
+        powers = specialcase._lattice(p)[0]
+        for s in enumerate_b_shapes(sp):
+            assert shape_members(sp, s) == specialcase._members(powers, s.orders), (p, s)
 
 
 def test_shape_orders_give_the_closed_form_densities():
@@ -259,7 +277,15 @@ def test_sweep_structure_at_487():
     p = 487  # 2 * 3^5 + 1
     sp = parse_special_prime(p)
     assert (sp.q, sp.r) == (3, 5)
-    res = sweep_special(sp)
+    # the sweep holds the rows of one s (at most p - 2) at a time; an index
+    # of every (s, t) pair (two int64 arrays) held through it reads 4.6 MiB
+    tracemalloc.start()
+    try:
+        res = sweep_special(sp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
     labels = {s.label() for s in enumerate_b_shapes(sp)}
     assert set(res.shape_counts) <= labels
     assert "FULL(0)" not in res.shape_counts
@@ -278,6 +304,95 @@ def test_sweep_raises_on_unmatched_pattern(monkeypatch):
     )
     with pytest.raises(ShapeMismatch):
         sweep_special(sp)
+
+
+# The largest |B| / (p - 1) over every triple mod p, at every prime
+# 5 <= p < 100: the data the paper's open case (p not 2q^r + 1) asks for.
+MAX_DENSITY = {
+    5: Fraction(1, 2), 7: Fraction(2, 3), 11: Fraction(3, 5), 13: Fraction(2, 3),
+    17: Fraction(1, 4), 19: Fraction(1, 3), 23: Fraction(6, 11),
+    29: Fraction(5, 14), 31: Fraction(3, 5), 37: Fraction(7, 18),
+    41: Fraction(3, 10), 43: Fraction(2, 7), 47: Fraction(12, 23),
+    53: Fraction(1, 13), 59: Fraction(1, 29), 61: Fraction(4, 15),
+    67: Fraction(8, 33), 71: Fraction(8, 35), 73: Fraction(1, 4),
+    79: Fraction(3, 13), 83: Fraction(1, 41), 89: Fraction(9, 44),
+    97: Fraction(5, 24),
+}
+
+
+def test_pattern_kernel_max_density_at_every_prime_below_100():
+    assert sorted(MAX_DENSITY) == [p for p in range(5, 100) if is_prime(p)]
+    for p, want in MAX_DENSITY.items():
+        _, top, _ = specialcase._pattern_sweep(p, *specialcase._lattice(p))
+        assert Fraction(top, p - 1) == want, p
+
+
+@pytest.mark.parametrize("p", [13, 19, 23, 47, 61])
+def test_pattern_kernel_blocks_are_invisible(monkeypatch, p):
+    # a budget of 1 cell puts one s in each block, 3 (p - 1)(p - 3) about
+    # three, and the default all of them at 13 to 47; the witness must
+    # survive a tie between blocks and within one
+    powg, divs = specialcase._lattice(p)
+    outs = []
+    for cap in (None, 1, 3 * (p - 1) * (p - 3)):
+        if cap is not None:
+            monkeypatch.setattr(specialcase, "_SWEEP_CELLS", cap)
+        counts, top, key = specialcase._pattern_sweep(p, powg, divs)
+        outs.append((counts.tolist(), top, key))
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_special_prime_rejects_inconsistent_fields():
+    for p, q, r in [
+        (11, 3, 1),  # 2 * 3 + 1 = 7
+        (3, 1, 1),  # q = 1 is no prime, and p > 3 is required
+        (55, 3, 3),  # 2 * 3^3 + 1 = 55 = 5 * 11
+        (19, 9, 1),  # 9 is no prime
+        (5, 3, 10**9),  # refused before 3^r is formed
+    ]:
+        with pytest.raises(ValueError, match="is not a prime p = 2"):
+            SpecialPrime(p=p, q=q, r=r)
+    with pytest.raises(ValueError):
+        specialcase._shape(parse_special_prime(19), 2, 1)  # UNION needs j < k
+
+
+def test_special_prime_check_survives_python_O():
+    # the field check is an exception, not an assert that -O strips
+    code = "from hgdensity.specialcase import SpecialPrime; SpecialPrime(p=11, q=3, r=1)"
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith("ValueError: p=11, q=3, r=1 is not")
+
+
+def test_pattern_table_raises_on_a_wrong_closed_form(monkeypatch):
+    full_table = specialcase.enumerate_b_shapes
+
+    def wrong_density(sp):
+        shapes = full_table(sp)
+        shapes[1] = dataclasses.replace(shapes[1], density=shapes[1].density / 2)
+        return shapes
+
+    monkeypatch.setattr(specialcase, "enumerate_b_shapes", wrong_density)
+    with pytest.raises(ShapeMismatch, match="members"):
+        sweep_special(parse_special_prime(19))
+
+
+def test_sweep_raises_on_a_wrong_total(monkeypatch):
+    kernel = specialcase._pattern_sweep
+
+    def one_short(p, powg, divs):
+        counts, top, key = kernel(p, powg, divs)
+        counts[0] -= 1  # the EMPTY pattern, which every special sweep meets
+        return counts, top, key
+
+    monkeypatch.setattr(specialcase, "_pattern_sweep", one_short)
+    with pytest.raises(ShapeMismatch, match="swept 5201 triples"):
+        sweep_special(parse_special_prime(19))
 
 
 def test_max_density_values():

@@ -77,11 +77,31 @@ def mod_order(u: int, m: int) -> int:
     u %= m
     if math.gcd(u, m) != 1:
         raise NotAUnit(f"{u} is not a unit mod {m}")
+    check_table_size(m, "modulus m")  # phi(m) is found by trial division
     k = euler_phi(m)
     for p, _ in factorize(k):
         while k % p == 0 and pow(u, k // p, m) == 1:
             k //= p
     return k
+
+
+def cyclic_powers(u: int, m: int) -> list[int]:
+    """[1, u, u^2, ..., u^(d-1)] mod m >= 1, d the order of the unit u.
+
+    The list is the cyclic subgroup <u>, with ``powers[k % d] = u^k``.  A
+    non-unit raises NotAUnit, as in :func:`mod_order`.
+    """
+    if m < 1:
+        raise ValueError(f"modulus must be positive, got {m}")
+    u %= m
+    if math.gcd(u, m) != 1:
+        raise NotAUnit(f"{u} is not a unit mod {m}")
+    one = 1 % m
+    powers, w = [one], u
+    while w != one:
+        powers.append(w)
+        w = w * u % m
+    return powers
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

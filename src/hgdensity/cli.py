@@ -210,9 +210,9 @@ def _cmd_special(args) -> int:
         "shapes": specialcase.shape_table_json(sp),
     }
     if args.max_density:
-        d, witness = specialcase.max_density_over_params(sp)
-        out["max_density"] = str(d)
-        out["witness"] = list(witness)
+        res = specialcase.sweep_special(sp)
+        out["max_density"] = str(res.max_density)
+        out["witness"] = list(res.witness)
     print(json.dumps(out))
     return 0
 

@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import (HGParams, ResidueSet, euler_phi, factorize, is_prime, unit_mask,
-                    units_mod)
+from .arith import (HGParams, ResidueSet, cyclic_powers, euler_phi, factorize, is_prime,
+                    unit_mask, units_mod)
 from .errors import HypothesisError, PrimeTooSmall
 
 # the subgroup kernel evaluates at most this many (triple, unit) cells at
@@ -147,18 +147,14 @@ def _subgroup_plan(m: int) -> _Plan:
     for u in units_mod(m):
         if u in sub_of:
             continue
-        powers = [u]  # powers[k - 1] = u^k
-        w = u * u % m
-        while w != u:
-            powers.append(w)
-            w = w * u % m
+        powers = cyclic_powers(u, m)
         d = len(powers)
-        g = [powers[k - 1] for k in range(1, d + 1) if math.gcd(k, d) == 1]
+        g = [w for k, w in enumerate(powers) if math.gcd(k, d) == 1]  # gcd(0, d) = d
         for x in g:
             sub_of[x] = len(gens)
         gens.append(g)
         primes = factorize(d)
-        maximal.append([powers[l - 1] for l, _ in primes])
+        maximal.append([powers[l % d] for l, _ in primes])
         level.append(sum(e for _, e in primes))
     order = sorted(range(len(gens)), key=lambda h: len(gens[h]))
     rank = {h: i for i, h in enumerate(order)}
@@ -287,14 +283,7 @@ def bounded_prime_test(params: HGParams, p: int) -> bool:
 def is_union_of_cyclic(rs: ResidueSet) -> bool:
     """True iff the set is closed under taking powers of its elements."""
     members = set(rs.members)
-    m = rs.modulus
-    for u in members:
-        w = u * u % m
-        while w != u:
-            if w not in members:
-                return False
-            w = w * u % m
-    return True
+    return all(members.issuperset(cyclic_powers(u, rs.modulus)) for u in members)
 
 
 def zero_density_criterion(params: HGParams) -> bool:

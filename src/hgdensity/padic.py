@@ -132,21 +132,17 @@ def digit_bounded(params: HGParams, p: int) -> BoundednessVerdict:
     """Digit criterion: bounded iff c_j(p) <= max(a_j(p), b_j(p)) for all j.
 
     The three expansions are compared over the common period
-    M = ord(p mod m); each individual period divides M.
+    M = ord(p mod m), the lcm of their own periods; digit j of each is read
+    at j modulo its period.
     """
     check_prime(p)
     m = params.m
     if p <= m:
         raise PrimeTooSmall(f"p={p} must exceed the modulus m={m}")
     M = mod_order(p, m)
-    seqs = []
-    for v in (params.a, params.b, params.c):
-        exp = _expansion(v - 1, p)
-        assert M % exp.period == 0
-        seqs.append((exp.digits * (M // exp.period)))
-    da, db, dc = seqs
+    da, db, dc = (_expansion(v - 1, p).digits for v in (params.a, params.b, params.c))
     for j in range(M):
-        if dc[j] > max(da[j], db[j]):
+        if dc[j % len(dc)] > max(da[j % len(da)], db[j % len(db)]):
             return BoundednessVerdict(Verdict.UNBOUNDED, witness=j)
     return BoundednessVerdict(Verdict.BOUNDED)
 

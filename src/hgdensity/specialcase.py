@@ -13,8 +13,9 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .arith import HGParams, check_table_size, euler_phi, factorize, is_prime
-from .density import bounded_residues
+from .arith import (HGParams, check_table_size, cyclic_powers, euler_phi, factorize,
+                    is_prime)
+from .density import bounded_residues, density
 from .errors import CaseViolation, HypothesisError, ShapeMismatch
 
 # the pattern sweep evaluates at most this many (row, unit) cells at once,
@@ -51,6 +52,7 @@ def parse_special_prime(p: int) -> SpecialPrime | None:
     """Recognize p = 2*q**r + 1; None when p is not of this form."""
     if p < 5 or not is_prime(p):
         return None
+    check_table_size(p, "prime p")  # (p - 1) / 2 is factored by trial division
     factors = factorize((p - 1) // 2)
     if len(factors) != 1 or factors[0][0] == 2:
         return None  # (p - 1) / 2 must be a power of a single odd prime
@@ -126,10 +128,7 @@ def _lattice(p: int) -> tuple[np.ndarray, list[int]]:
     The unit group is cyclic, so its subgroup of order d | n is powers[::n // d].
     """
     n = p - 1
-    g = find_generator(p)
-    powers = [1]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * g % p)
+    powers = cyclic_powers(find_generator(p), p)
     return np.array(powers), [d for d in range(1, n + 1) if n % d == 0]
 
 
@@ -147,13 +146,7 @@ def shape_members(sp: SpecialPrime, shape: BShape) -> frozenset[int]:
     """
     p, n = sp.p, sp.p - 1
     g = find_generator(p)
-    out = set()
-    for d in shape.orders:
-        h, w = pow(g, n // d, p), 1
-        for _ in range(d):
-            out.add(w)
-            w = w * h % p
-    return frozenset(out)
+    return frozenset(w for d in shape.orders for w in cyclic_powers(pow(g, n // d, p), p))
 
 
 def classify_b(params: HGParams) -> BShape:
@@ -336,12 +329,6 @@ def sweep_special(sp: SpecialPrime) -> SweepResult:
     )
 
 
-def max_density_over_params(sp: SpecialPrime) -> tuple[Fraction, tuple[int, int, int]]:
-    """Maximum density over all (x/p, y/p; z/p) with the lex-least witness."""
-    res = sweep_special(sp)
-    return res.max_density, res.witness
-
-
 def remark_case_classification(params: HGParams) -> str:
     """Case pattern for p = 2q + 1 (r = 1): returns one of
     'zero', 'c-largest', 'c-between' after checking the computed density
@@ -350,9 +337,7 @@ def remark_case_classification(params: HGParams) -> str:
     if sp is None or sp.r != 1:
         raise HypothesisError(f"modulus {params.m} is not of the form 2*q + 1")
     q = sp.q
-    from .density import density as _density
-
-    D = _density(params)
+    D = density(params)
     if D == 1:
         raise CaseViolation(f"D = 1 occurred at {params}")
     a, b, c = params.a, params.b, params.c

@@ -13,6 +13,7 @@ from hgdensity.arith import (
     TABLE_LIMIT,
     HGParams,
     ResidueSet,
+    cyclic_powers,
     euler_phi,
     factorize,
     frac_part,
@@ -26,7 +27,7 @@ from hgdensity.arith import (
     unit_mask,
     units_mod,
 )
-from hgdensity.errors import IntegralParameter
+from hgdensity.errors import IntegralParameter, NotAUnit
 
 from oracles import sieve_primes
 
@@ -83,6 +84,26 @@ def test_mod_order_divides_phi():
             assert phi % k == 0
             assert pow(u, k, m) == 1
             assert all(pow(u, i, m) != 1 for i in range(1, k))
+
+
+def test_cyclic_powers_is_the_subgroup():
+    for m in range(1, 201):
+        for u in units_mod(m):
+            powers = cyclic_powers(u, m)
+            assert powers == [pow(u, k, m) for k in range(len(powers))], (u, m)
+            assert len(set(powers)) == len(powers), (u, m)
+            if m >= 2:
+                assert len(powers) == mod_order(u, m), (u, m)
+    assert cyclic_powers(-1, 7) == [1, 6]
+
+
+def test_cyclic_powers_requires_unit():
+    with pytest.raises(NotAUnit):
+        cyclic_powers(4, 12)
+    with pytest.raises(NotAUnit):
+        cyclic_powers(0, 5)
+    with pytest.raises(ValueError):
+        cyclic_powers(1, 0)
 
 
 def test_mod_order_large_modulus_path():

@@ -218,10 +218,17 @@ def test_invalid_prime_or_horizon_exit_codes(capsys, argv, code):
         ["quad", "wset", "5", "1000000000039"],
         ["density", "1/997", "1/991", "1/983"],
         ["special", "39367", "--max-density"],  # 2 * 3^9 + 1
+        # a period of about 2 * 10^16 digits
+        ["bounded", "1/1000003", "1/1000033", "1/1000037", "1000073001431003777"],
+        # trial division of a modulus near 10^18 or of (p - 1) / 2 near 10^17
+        ["digits", "1/1000000000000000003", "5"],
+        ["bounded", "1/1000000000000000003", "1/3", "1/2", "6000000000000000023"],
+        ["special", "200000000000000363"],  # 2q + 1, q prime
     ],
 )
 def test_huge_inputs_are_refused_before_allocating(capsys, argv):
-    # each would build arrays of gigabytes or more; refused with one line
+    # each would build arrays of gigabytes or more, or factor a huge number
+    # by trial division; refused with one line
     tracemalloc.start()
     try:
         code, out, err = run(capsys, *argv)

@@ -113,6 +113,8 @@ def test_is_union_of_cyclic_examples():
     assert is_union_of_cyclic(ResidueSet(modulus=7, members=())) is True
     assert is_union_of_cyclic(ResidueSet(modulus=7, members=(1, 2, 4))) is True
     assert is_union_of_cyclic(ResidueSet(modulus=7, members=(3,))) is False
+    # closed under every power but the last, u^d = 1
+    assert is_union_of_cyclic(ResidueSet(modulus=19, members=tuple(range(2, 19)))) is False
 
 
 def test_bounded_set_always_union_of_cyclic():

@@ -32,7 +32,6 @@ from hgdensity.specialcase import (
     classify_b,
     enumerate_b_shapes,
     find_generator,
-    max_density_over_params,
     parse_special_prime,
     remark_case_classification,
     shape_members,
@@ -396,12 +395,11 @@ def test_sweep_raises_on_a_wrong_total(monkeypatch):
 
 
 def test_max_density_values():
-    sp = parse_special_prime(23)
-    d, witness = max_density_over_params(sp)
+    res = sweep_special(parse_special_prime(23))
+    d, witness = res.max_density, res.witness
     assert d == Fraction(6, 11)  # UNION(0,1): (q+1)/(2q)
     assert density(params(*witness, 23)) == d
-    sp = parse_special_prime(59)
-    d, _ = max_density_over_params(sp)
+    d = sweep_special(parse_special_prime(59)).max_density
     assert d <= Fraction(1, 29)
 
 

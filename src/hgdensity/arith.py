@@ -77,7 +77,9 @@ def mod_order(u: int, m: int) -> int:
     u %= m
     if math.gcd(u, m) != 1:
         raise NotAUnit(f"{u} is not a unit mod {m}")
-    check_table_size(m, "modulus m")  # phi(m) is found by trial division
+    if m > TABLE_LIMIT:
+        raise ValueError(f"modulus m={m} is too large: orders need phi(m), which is "
+                         f"factored by trial division, limited to m <= {TABLE_LIMIT}")
     k = euler_phi(m)
     for p, _ in factorize(k):
         while k % p == 0 and pow(u, k // p, m) == 1:
@@ -236,6 +238,14 @@ class ResidueSet:
 
     def __len__(self):
         return len(self.members)
+
+
+def check_int(value, name: str, least: int | None = None) -> None:
+    """ValueError unless value is an int (a bool is not), and >= least if given."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def check_table_size(n: int, name: str) -> None:

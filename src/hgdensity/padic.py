@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import HGParams, check_prime, mod_order
+from .arith import HGParams, check_prime, check_table_size, mod_order
 from .errors import HypothesisError, PrimeTooSmall
 
 # the batched valuation oracle holds at most this many (triple, event) cells
@@ -105,6 +105,8 @@ def digits_by_formula(a: Fraction, p: int) -> tuple[int, ...]:
     pin it against :func:`padic_digits`.
     """
     check_prime(p)
+    if not (0 < a < 1):
+        raise HypothesisError(f"{a} must lie in (0, 1)")
     den = a.denominator
     if den % p == 0:
         raise HypothesisError(f"p={p} divides the denominator of {a}")
@@ -208,6 +210,9 @@ def coefficient_valuations(params: HGParams, p: int, N: int) -> ValuationProfile
     Valuations are accumulated term by term as integers; the coefficients
     themselves are never materialized.
     """
+    check_prime(p)
+    if N < 0:
+        raise ValueError(f"N={N} must be >= 0")
     pos, deltas = _valuation_deltas(params, p, N)
     per_k = np.zeros(N, dtype=np.int64)
     per_k[pos] = deltas
@@ -235,9 +240,11 @@ def empirical_bounded(params: HGParams, p: int, N: int) -> BoundednessVerdict:
 
     UNBOUNDED iff some valuation drops strictly below an earlier valuation
     that was already <= -1 (:func:`_descents`).  The prime is not checked
-    here: it is the one-triple reference for :func:`empirical_bounded_batch`,
-    and callers draw their primes from a sieve.
+    here beyond p >= 2: it is the one-triple reference for
+    :func:`empirical_bounded_batch`, and callers draw their primes from a sieve.
     """
+    if p < 2:
+        raise ValueError(f"p={p} must be a prime >= 2")
     if N < 1:
         raise ValueError(f"N={N} must be >= 1: no coefficient would be examined")
     if 4 * N // (p - 1) > _EVENT_LIMIT:
@@ -254,27 +261,28 @@ def empirical_bounded(params: HGParams, p: int, N: int) -> BoundednessVerdict:
     return BoundednessVerdict(Verdict.BOUNDED)
 
 
-def _class_valuations(m: int, p: int, N: int, cols: range) -> np.ndarray:
+def _class_valuations(m: int, p: int, N: int, cols: int) -> np.ndarray:
     """v_p(t + k m) at the k < N of the class k = -t/m mod p, block by block.
 
-    Row t in 1..m, column j for k in block j of p consecutive k (0 where
-    k >= N); row 0 is all 0.  With k0 the least k of the class, t + k m is
-    p (c + j m) for c = (t + k0 m) / p, so v_p is 1 except on the class of
-    j mod p where p divides c + j m; only those columns are divided out.
+    Row t in 1..m, column j < ``cols`` for k in block j of p consecutive k
+    (0 where k >= N); row 0 is all 0.  With k0 the least k of the class,
+    t + k m is p (c + j m) for c = (t + k0 m) / p, so v_p is 1 except on the
+    class of j mod p where p divides c + j m; only those columns are divided
+    out.
     """
     inv = pow(m, -1, p)
     t = np.arange(1, m + 1, dtype=np.int64)
     k0 = -t * inv % p
     c = (t + k0 * m) // p
-    table = np.zeros((m + 1, len(cols)), dtype=np.int8)
-    table[1:] = np.arange(cols.start, cols.stop) < (N - k0[:, None] + p - 1) // p
-    jj = (-c * inv - cols.start) % p  # first column of the class, then every p-th
-    jj = jj[:, None] + p * np.arange(-(-len(cols) // p))
-    r, q = np.nonzero(jj < len(cols))
+    table = np.zeros((m + 1, cols), dtype=np.int8)
+    table[1:] = np.arange(cols) < (N - k0[:, None] + p - 1) // p
+    jj = (-c * inv) % p  # first column of the class, then every p-th
+    jj = jj[:, None] + p * np.arange(-(-cols // p))
+    r, q = np.nonzero(jj < cols)
     o = jj[r, q]
     live = table[r + 1, o] == 1  # k < N
     r, o = r[live], o[live]
-    x = (c[r] + (cols.start + o) * m) // p
+    x = (c[r] + o * m) // p
     while len(x):
         table[r + 1, o] += 1
         more = x % p == 0
@@ -312,10 +320,11 @@ def empirical_bounded_batch(m: int, X, Y, Z, p: int, N: int) -> np.ndarray:
     descents only after one.  At N = p^3 each row has one irregular
     super-block, and a triple keeps at most 14 of the p.
 
-    Work goes in spans of super-blocks and chunks of triples of at most
-    ``_ORACLE_CELLS`` cells, carrying each triple's valuation and negative
-    maximum, and each row's regularity of the last two super-blocks, across
-    spans.  Returns a bool array, true where the verdict is BOUNDED.
+    One table covers every super-block, plus the padding one; a horizon
+    whose table would exceed ``arith.TABLE_LIMIT`` entries is refused with
+    ValueError before anything is built, as every residue table is.
+    Triples go in chunks of at most ``_ORACLE_CELLS`` cells.  Returns a bool
+    array, true where the verdict is BOUNDED.
     """
     if N < 1:
         raise ValueError(f"N={N} must be >= 1: no coefficient would be examined")
@@ -328,15 +337,11 @@ def empirical_bounded_batch(m: int, X, Y, Z, p: int, N: int) -> np.ndarray:
                          f"{X.shape}, {Y.shape}, {Z.shape}")
     if len(Z) and (min(X.min(), Y.min(), Z.min()) < 1 or max(X.max(), Y.max(), Z.max()) >= m):
         raise ValueError(f"numerators must lie in [1, {m - 1}]")
-    if (N + p) * m > np.iinfo(np.int64).max:
-        raise ValueError(f"N={N} is too large: t + k m must fit in int64")
+    supers = -(-N // (p * p))
+    check_table_size((m + 1) * (supers + 1) * p, f"class table for N={N} at p={p}: entries")
     # v_p of coefficient n sums, over the levels p^i <= m N, four counts of
-    # k < n on one class mod p^i, each floor(n / p^i) or one more: so it
-    # lies in [-2 levels, 2 levels], and levels <= 62 once m N fits in int64
-    levels = 0
-    while p ** (levels + 1) <= m * N:
-        levels += 1
-    assert 2 * levels <= np.iinfo(np.int8).max, "valuations must fit in int8"
+    # k < n on one class mod p^i, each floor(n / p^i) or one more; the table
+    # limit keeps m N below 2^24 p, so at most 25 levels, and int8 holds it
     key, inverse = np.unique((np.minimum(X, Y) * m + np.maximum(X, Y)) * m + Z,
                              return_inverse=True)
     nums = np.stack((key // (m * m), key // m % m, key % m, np.full_like(key, m)), axis=1)
@@ -348,34 +353,24 @@ def empirical_bounded_batch(m: int, X, Y, Z, p: int, N: int) -> np.ndarray:
         same = nums[:, i] == nums[:, i + 1]
         weights[same, i + 1] += weights[same, i]
         weights[same, i] = 0
-    supers = -(-N // (p * p))
-    span = min(supers, max(1, _ORACLE_CELLS // ((m + 1) * p) - 1))
-    level = np.zeros(len(key), dtype=np.int8)
-    best = np.full(len(key), np.iinfo(np.int8).min, dtype=np.int8)
+    # super-block `supers` lies past N, so it is all 0
+    table = _class_valuations(m, p, N, (supers + 1) * p).reshape(m + 1, supers + 1, p)
+    regular = ((table[:, :supers] >= 1) & (table[:, :supers] <= 2)).all(axis=2)
+    # with at most i irregular super-blocks per row, a triple has at most
+    # 4 i and keeps at most 3 (4 i) + 2: chunks are sized for that width
+    irregular = supers - np.count_nonzero(regular[1:], axis=1).min()
+    rows = max(1, _ORACLE_CELLS // (4 * p * min(supers, 12 * irregular + 2)))
+    regular = np.concatenate((np.zeros((m + 1, 2), dtype=bool), regular), axis=1)
     unbounded = np.zeros(len(key), dtype=bool)
-    before = np.zeros((m + 1, 2), dtype=bool)  # the two super-blocks before s0
-    for s0 in range(0, supers, span):
-        n = min(span, supers - s0)
-        block = _class_valuations(m, p, N, range(s0 * p, (s0 + n) * p)).reshape(m + 1, n, p)
-        table = np.zeros((m + 1, n + 1, p), dtype=np.int8)  # super-block n is all 0
-        table[:, :n] = block
-        regular = np.concatenate((before, ((block >= 1) & (block <= 2)).all(axis=2)), axis=1)
-        before = regular[:, -2:]
-        # with at most i irregular super-blocks per row, a triple has at most
-        # 4 i and keeps at most 3 (4 i) + 2: chunks are sized for that width
-        irregular = n - np.count_nonzero(regular[1:, 2:], axis=1).min()
-        rows = max(1, _ORACLE_CELLS // (4 * p * min(n, 12 * irregular + 2)))
-        for r0 in range(0, len(key), rows):
-            sl = slice(r0, r0 + rows)
-            ok = regular[nums[sl]].all(axis=1)
-            keep = ~(ok[:, 2:] & ok[:, 1:-1] & ok[:, :-2])
-            sel = np.sort(np.where(keep, np.arange(n), n), axis=1)
-            sel = sel[:, :max(1, np.count_nonzero(keep, axis=1).max())]
-            events = table[nums[sl, :, None], sel[:, None]] * weights[sl, :, None, None]
-            events = events.transpose(0, 2, 3, 1).reshape(len(sel), -1)
-            vals = np.cumsum(events, axis=1, dtype=np.int8)
-            vals += level[sl, None]
-            drops, best[sl] = _descents(vals, best[sl])
-            unbounded[sl] |= drops.any(axis=1)
-            level[sl] = vals[:, -1]
+    for r0 in range(0, len(key), rows):
+        sl = slice(r0, r0 + rows)
+        ok = regular[nums[sl]].all(axis=1)
+        keep = ~(ok[:, 2:] & ok[:, 1:-1] & ok[:, :-2])
+        sel = np.sort(np.where(keep, np.arange(supers), supers), axis=1)
+        sel = sel[:, :np.count_nonzero(keep, axis=1).max()]
+        events = table[nums[sl, :, None], sel[:, None]] * weights[sl, :, None, None]
+        events = events.transpose(0, 2, 3, 1).reshape(len(sel), -1)
+        vals = np.cumsum(events, axis=1, dtype=np.int8)
+        floor = np.full(len(sel), np.iinfo(np.int8).min, dtype=np.int8)
+        unbounded[sl] = _descents(vals, floor)[0].any(axis=1)
     return ~unbounded[inverse]

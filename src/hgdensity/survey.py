@@ -23,18 +23,13 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .arith import euler_phi, modulus_triples
+from .arith import check_int, euler_phi, modulus_triples
 # bounded_count is not called here; it stays importable from this module
 # because perfbench/probes.py rebinds survey.bounded_count for its spans
 from .density import bounded_count, bounded_counts  # noqa: F401
 
 MIN_HEIGHT = 3  # below this no triple with c != a, b exists
 _DRY_RUN_BLOCK = 1 << 20  # the dry run counts at most this many indices at once
-
-
-def _check_height(N: int):
-    if N < MIN_HEIGHT:
-        raise ValueError(f"height bound must be >= {MIN_HEIGHT}, got {N}")
 
 
 def fractions_up_to(N: int) -> list[Fraction]:
@@ -46,7 +41,7 @@ def fractions_up_to(N: int) -> list[Fraction]:
 def enumerate_params(N: int):
     """Yield every triple (a, b, c) with heights <= N and c != a, b,
     exactly once, in lexicographic order."""
-    _check_height(N)
+    check_int(N, "height bound", MIN_HEIGHT)
     fracs = fractions_up_to(N)
     for i, a in enumerate(fracs):
         for j, b in enumerate(fracs):
@@ -96,9 +91,8 @@ _COUNT_CACHE: dict[int, SweepCounts] = {}
 def survey_counts(N: int, workers: int = 1) -> SweepCounts:
     """Run (or reuse) the full density sweep at height N, one modulus at a
     time, on at most ``workers`` processes."""
-    _check_height(N)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    check_int(N, "height bound", MIN_HEIGHT)
+    check_int(workers, "workers", 1)
     cached = _COUNT_CACHE.get(N)
     if cached is not None:
         return cached
@@ -226,9 +220,9 @@ def slice_dry_run(
     file, and a rerun with the same checkpoint resumes where it stopped.
     Densities are not computed (dry run).
     """
-    _check_height(N)
-    if stride < 1 or chunk < 1:
-        raise ValueError(f"stride and chunk must be >= 1, got {stride} and {chunk}")
+    check_int(N, "height bound", MIN_HEIGHT)
+    check_int(stride, "stride", 1)
+    check_int(chunk, "chunk", 1)
     n = len(fractions_up_to(N))
     space = n**3
     start = sampled = valid = 0

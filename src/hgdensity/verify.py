@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .arith import mod_order, modulus_triples, primes_in_range
+from .arith import check_int, mod_order, modulus_triples, primes_in_range
 from .density import bounded_counts, bounded_members
 # empirical_bounded is not called here; it stays importable from this module
 # because perfbench/probes.py rebinds verify.empirical_bounded for its spans
@@ -94,10 +94,8 @@ def _mismatches(X, Y, Z, primes, bad) -> list[tuple]:
 
 def _check_sweep(m, prime_limit=0) -> None:
     """Reject a modulus that is not an int >= 2 and a non-int prime limit."""
-    if isinstance(m, bool) or not isinstance(m, int) or m < 2:
-        raise ValueError(f"modulus m must be an int >= 2, got {m!r}")
-    if isinstance(prime_limit, bool) or not isinstance(prime_limit, int):
-        raise ValueError(f"prime_limit must be an int, got {prime_limit!r}")
+    check_int(m, "modulus m", 2)
+    check_int(prime_limit, "prime_limit")
 
 
 def digit_residue_mismatches(m: int, prime_limit: int = 500) -> list[tuple]:

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import shlex
 import signal
 import tracemalloc
 
@@ -11,6 +13,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgdensity.cli import main
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _readme_examples():
+    """(argv, comment) for each `hgdensity ...` line of README "CLI examples"."""
+    with open(README) as f:
+        block = f.read().split("## CLI examples")[1].split("```sh\n")[1].split("```")[0]
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        words = shlex.split(command)
+        assert words[0] == "hgdensity", line
+        yield words[1:], comment.strip()
 
 
 def run(capsys, *argv):
@@ -237,7 +253,31 @@ def test_huge_inputs_are_refused_before_allocating(capsys, argv):
         tracemalloc.stop()
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "too large" in err
+    if argv[0] in ("digits", "bounded") and "--empirical" not in argv:
+        # the digit paths are refused by mod_order, which builds no table
+        assert "phi(m), which is factored by trial division" in err
+        assert "residue tables" not in err
     assert peak < 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("argv, comment",
+                         [pytest.param(a, c, id=" ".join(a)) for a, c in _readme_examples()])
+def test_readme_cli_examples(capsys, tmp_path, monkeypatch, argv, comment):
+    # every example exits 0, and the output its comment gives is the output;
+    # files it writes (hist.csv, ck.json) land in tmp_path
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    if comment.startswith("->"):
+        assert out.strip() == comment[2:].strip()
+    elif comment.startswith(("{", "[")):
+        assert json.loads(out) == json.loads(comment)
+
+
+def test_readme_lists_the_cli_examples():
+    examples = list(_readme_examples())
+    assert len(examples) == 11
+    assert sum(c.startswith(("->", "{", "[")) for _, c in examples) == 3
 
 
 def test_malformed_fraction_is_usage_error(capsys):

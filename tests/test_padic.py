@@ -2,6 +2,8 @@
 
 import math
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -172,11 +174,15 @@ def test_prime_below_two_is_a_value_error(p):
         lambda: padic_digits(Fraction(-3, 11), p),
         lambda: digits_by_formula(Fraction(8, 11), p),
         lambda: digit_bounded(params("1/3", "1/3", "2/3"), p),
+        lambda: coefficient_valuations(params("1/3", "1/3", "2/3"), p, 10),
+        lambda: empirical_bounded(params("1/3", "1/3", "2/3"), p, 100),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="prime >= 2") as exc:
             call()
         assert not isinstance(exc.value, HypothesisError)
+    with pytest.raises(ValueError, match="N=-3 must be >= 0"):
+        coefficient_valuations(params("1/3", "1/3", "2/3"), 5, -3)
 
 
 @pytest.mark.parametrize("p", [4, 25, 91])
@@ -187,6 +193,12 @@ def test_composite_prime_is_a_hypothesis_error(p):
         digits_by_formula(Fraction(8, 11), p)
     with pytest.raises(HypothesisError, match="not prime"):
         digit_bounded(params("1/3", "1/3", "2/3"), p)
+    with pytest.raises(HypothesisError, match="not prime"):
+        coefficient_valuations(params("1/3", "1/3", "2/3"), p, 10)
+    # padic_digits refuses an a - 1 outside (-1, 0); the formula route alike
+    for a in (Fraction(5, 3), Fraction(0), Fraction(1), Fraction(-1, 3)):
+        with pytest.raises(HypothesisError, match=r"must lie in \(0, 1\)"):
+            digits_by_formula(a, 7)
 
 
 @pytest.mark.parametrize("N", [0, -1])
@@ -238,9 +250,10 @@ def test_batched_oracle_flips_at_the_first_descent():
 
 
 def test_batched_oracle_chunking_is_invisible(monkeypatch):
-    # 7 cells: one triple and one block of p per chunk, so every triple
-    # carries its valuation across blocks; 100: a few of each, with a
-    # shorter last chunk
+    # 7 and 100 cells both give one triple per chunk at these p, since a
+    # chunk is sized for 4 p cells per super-block a triple may keep; the
+    # default cap, which computes `whole`, puts many triples in a chunk, with
+    # a shorter last one at m = 8 and N = p^3
     kernel = sys.modules["hgdensity.padic"]
     cases = [(m, p, N) for m in (5, 8) for p in (11, 13) for N in (p**3, p**2 + 7)]
     whole = {c: empirical_bounded_batch(c[0], *_batch(c[0]), *c[1:]) for c in cases}
@@ -258,7 +271,7 @@ def test_super_blocks_at_the_sweep_horizon(m, p):
     # class-valuation table has one super-block (p blocks) with an entry
     # outside {1, 2}, and all its other super-blocks are equal
     N = p**3
-    table = _class_valuations(m, p, N, range(p * p)).reshape(m + 1, p, p)[1:]
+    table = _class_valuations(m, p, N, p * p).reshape(m + 1, p, p)[1:]
     regular = ((table >= 1) & (table <= 2)).all(axis=2)
     assert (np.count_nonzero(~regular, axis=1) == 1).all()
     for row, ok in zip(table, regular):
@@ -303,6 +316,18 @@ def test_batched_oracle_boundary():
             empirical_bounded_batch(6, X, Y, Z, 7, N)
     with pytest.raises(ValueError, match="too large"):
         empirical_bounded_batch(6, X, Y, Z, 7, 2**62)
+    # 2^40 fits in int64, but its class table would hold about 2^40 entries:
+    # refused at once, before anything is built
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match="too large"):
+            empirical_bounded_batch(6, [1], [5], [2], 7, 2**40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.5
+    assert peak < 2**20, f"traced peak {peak / 2**20:.2f} MiB"
     with pytest.raises(HypothesisError, match="not prime"):
         empirical_bounded_batch(6, X, Y, Z, 9, 729)
     with pytest.raises(ValueError, match="one length"):

@@ -207,6 +207,28 @@ def test_dry_run_rejects_nonpositive_stride_and_chunk(kwargs):
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.mark.parametrize(
+    "call, args, kwargs",
+    [
+        pytest.param(survey.density_histogram, (12.0,), {}, id="histogram-N"),
+        pytest.param(survey.survey_counts, (5.5,), {}, id="counts-N"),
+        pytest.param(survey.survey_counts, (True,), {}, id="counts-bool-N"),
+        pytest.param(survey.survey_counts, (6,), {"workers": 1.5}, id="counts-workers"),
+        pytest.param(survey.survey_counts, (6,), {"workers": True}, id="counts-bool-workers"),
+        pytest.param(survey.beta, (Fraction(0), 5.0), {}, id="beta-N"),
+        pytest.param(survey.slice_dry_run, (5.5,), {}, id="dry-run-N"),
+        pytest.param(survey.slice_dry_run, (6,), {"stride": 2.5}, id="dry-run-stride"),
+        pytest.param(survey.slice_dry_run, (6,), {"chunk": 10.0}, id="dry-run-chunk"),
+    ],
+)
+def test_non_int_sizes_are_value_errors(call, args, kwargs):
+    # each reached range() with a float before, and a TypeError escaped
+    survey._COUNT_CACHE.clear()
+    with pytest.raises(ValueError, match="must be an int, got"):
+        call(*args, **kwargs)
+    assert survey._COUNT_CACHE == {}
+
+
 def test_dry_run_resume_equivalence(tmp_path):
     ck = str(tmp_path / "ck.json")
     full = survey.slice_dry_run(8, stride=7)

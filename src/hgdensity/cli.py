@@ -33,22 +33,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("density", help="exact density of bounded primes")
+    p.set_defaults(run=_cmd_density)
     p.add_argument("a", type=_fraction)
     p.add_argument("b", type=_fraction)
     p.add_argument("c", type=_fraction)
     p.add_argument("--json", action="store_true", dest="as_json")
 
     p = sub.add_parser("residues", help="the bounded residue classes mod m")
+    p.set_defaults(run=_cmd_residues)
     p.add_argument("a", type=_fraction)
     p.add_argument("b", type=_fraction)
     p.add_argument("c", type=_fraction)
 
     p = sub.add_parser("digits", help="p-adic digits of a-1 and their limits")
+    p.set_defaults(run=_cmd_digits)
     p.add_argument("a", type=_fraction)
     p.add_argument("p", type=int)
     p.add_argument("--full-period", action="store_true")
 
     p = sub.add_parser("bounded", help="per-prime boundedness verdict")
+    p.set_defaults(run=_cmd_bounded)
     p.add_argument("a", type=_fraction)
     p.add_argument("b", type=_fraction)
     p.add_argument("c", type=_fraction)
@@ -56,6 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--empirical", type=int, metavar="N", default=None)
 
     p = sub.add_parser("sweep", help="density statistics up to a height bound")
+    p.set_defaults(run=_cmd_sweep)
     p.add_argument("N", type=int)
     p.add_argument("--out", default=None)
     p.add_argument("--drop-zero", action="store_true")
@@ -69,6 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="allow full sweeps above height 24 (minutes of CPU)")
 
     p = sub.add_parser("quad", help="quadratic-residue machinery")
+    p.set_defaults(run=_cmd_quad)
     qsub = p.add_subparsers(dest="qcmd", required=True)
     q = qsub.add_parser("class-number")
     q.add_argument("p", type=int)
@@ -89,6 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("p", type=int)
 
     p = sub.add_parser("special", help="shape table for primes 2*q^r + 1")
+    p.set_defaults(run=_cmd_special)
     p.add_argument("p", type=int)
     p.add_argument("--max-density", action="store_true")
     return top
@@ -217,24 +224,13 @@ def _cmd_special(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "density": _cmd_density,
-    "residues": _cmd_residues,
-    "digits": _cmd_digits,
-    "bounded": _cmd_bounded,
-    "sweep": _cmd_sweep,
-    "quad": _cmd_quad,
-    "special": _cmd_special,
-}
-
-
 _PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return _DISPATCH[args.cmd](args)
+        return args.run(args)
     except HypothesisError as e:
         print(f"hypothesis violated: {e}", file=sys.stderr)
         return 1

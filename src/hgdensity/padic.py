@@ -158,7 +158,8 @@ class ValuationProfile:
     valuations: tuple[int, ...]
 
     def __post_init__(self):
-        assert self.valuations[0] == 0, "constant coefficient is 1"
+        if not self.valuations or self.valuations[0] != 0:
+            raise ValueError("valuations must start with 0: the constant coefficient is 1")
 
 
 def _ap_start(num: int, den: int, pk: int) -> int:

@@ -50,9 +50,10 @@ def _residue_mask(p: int) -> np.ndarray:
     return mask
 
 
-def quadratic_residues(p: int) -> frozenset[int]:
-    """Nonzero quadratic residues mod p."""
-    return frozenset(np.flatnonzero(_residue_mask(p)).tolist())
+def quadratic_residues(p: int) -> ResidueSet:
+    """Nonzero quadratic residues mod a prime p."""
+    check_prime(p)
+    return ResidueSet(modulus=p, members=np.flatnonzero(_residue_mask(p)).tolist())
 
 
 def _check_3_mod_4(p: int):

@@ -13,8 +13,8 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .arith import (HGParams, check_table_size, cyclic_powers, euler_phi, factorize,
-                    is_prime)
+from .arith import (TABLE_LIMIT, HGParams, ResidueSet, check_prime, check_table_size,
+                    cyclic_powers, euler_phi, factorize, is_prime, mod_order)
 from .density import bounded_residues, density
 from .errors import CaseViolation, HypothesisError, ShapeMismatch
 
@@ -52,7 +52,9 @@ def parse_special_prime(p: int) -> SpecialPrime | None:
     """Recognize p = 2*q**r + 1; None when p is not of this form."""
     if p < 5 or not is_prime(p):
         return None
-    check_table_size(p, "prime p")  # (p - 1) / 2 is factored by trial division
+    if p > TABLE_LIMIT:
+        raise ValueError(f"prime p={p} is too large: (p - 1)/2 is factored by trial "
+                         f"division, limited to p <= {TABLE_LIMIT}")
     factors = factorize((p - 1) // 2)
     if len(factors) != 1 or factors[0][0] == 2:
         return None  # (p - 1) / 2 must be a power of a single odd prime
@@ -113,13 +115,11 @@ def enumerate_b_shapes(sp: SpecialPrime) -> list[BShape]:
 
 
 def find_generator(p: int) -> int:
-    """Smallest primitive root mod p."""
-    order = p - 1
-    prime_divs = [q for q, _ in factorize(order)]
-    for g in range(2, p):
-        if all(pow(g, order // q, p) != 1 for q in prime_divs):
-            return g
-    raise RuntimeError(f"no generator found mod {p}")
+    """Least primitive root mod an odd prime p: the least g of order p - 1."""
+    check_prime(p)
+    if p == 2:
+        raise HypothesisError("p=2 must be an odd prime")
+    return next(g for g in range(2, p) if mod_order(g, p) == p - 1)
 
 
 def _lattice(p: int) -> tuple[np.ndarray, list[int]]:
@@ -132,13 +132,7 @@ def _lattice(p: int) -> tuple[np.ndarray, list[int]]:
     return np.array(powers), [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _members(powers: np.ndarray, orders: tuple[int, ...]) -> frozenset[int]:
-    """The union of the subgroups of the given orders."""
-    n = len(powers)
-    return frozenset(w for d in orders for w in powers[:: n // d].tolist())
-
-
-def shape_members(sp: SpecialPrime, shape: BShape) -> frozenset[int]:
+def shape_members(sp: SpecialPrime, shape: BShape) -> ResidueSet:
     """The explicit subset of (Z/pZ)^x described by a shape.
 
     Walks only the subgroups of the shape's orders, H_d = <g^(n/d)>, so
@@ -146,7 +140,7 @@ def shape_members(sp: SpecialPrime, shape: BShape) -> frozenset[int]:
     """
     p, n = sp.p, sp.p - 1
     g = find_generator(p)
-    return frozenset(w for d in shape.orders for w in cyclic_powers(pow(g, n // d, p), p))
+    return ResidueSet(p, [w for d in shape.orders for w in cyclic_powers(pow(g, n // d, p), p)])
 
 
 def classify_b(params: HGParams) -> BShape:
@@ -158,12 +152,11 @@ def classify_b(params: HGParams) -> BShape:
     sp = parse_special_prime(params.m)
     if sp is None:
         raise HypothesisError(f"modulus {params.m} is not of the form 2*q^r + 1")
-    powers, _ = _lattice(sp.p)
-    B = frozenset(bounded_residues(params).members)
+    B = bounded_residues(params)
     for shape in enumerate_b_shapes(sp):
-        if B == _members(powers, shape.orders):
+        if B == shape_members(sp, shape):
             return shape
-    raise ShapeMismatch(f"B={sorted(B)} over p={sp.p} matches no enumerated shape")
+    raise ShapeMismatch(f"B={list(B)} over p={sp.p} matches no enumerated shape")
 
 
 @dataclass

@@ -121,7 +121,9 @@ class Histogram:
     total: int
 
     def __post_init__(self):
-        assert sum(self.entries.values()) == self.total
+        counted = sum(self.entries.values())
+        if counted != self.total:
+            raise ValueError(f"the entries count {counted} triples, not total={self.total}")
 
 
 def density_histogram(N: int, workers: int = 1, drop_zero: bool = False) -> Histogram:

@@ -257,6 +257,12 @@ def test_huge_inputs_are_refused_before_allocating(capsys, argv):
         # the digit paths are refused by mod_order, which builds no table
         assert "phi(m), which is factored by trial division" in err
         assert "residue tables" not in err
+    if argv == ["special", "200000000000000363"]:
+        # recognizing 2q + 1 factors (p - 1)/2; no table is built
+        assert "(p - 1)/2 is factored by trial division" in err
+        assert "residue tables" not in err
+    if argv == ["special", "39367", "--max-density"]:
+        assert "(p - 1)^2" in err  # the sweep's comparison table
     assert peak < 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
 

@@ -1,6 +1,8 @@
 """Digit expansions, the digit boundedness criterion, valuation profiles."""
 
 import math
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -336,3 +338,16 @@ def test_batched_oracle_boundary():
         with pytest.raises(ValueError, match=r"\[1, 5\]"):
             empirical_bounded_batch(6, bad, [5], [1], 7, 343)
     assert empirical_bounded_batch(6, [], [], [], 7, 343).shape == (0,)
+
+
+def test_valuation_profile_check_survives_python_O():
+    # the field check is an exception, not an assert that -O strips
+    code = "from hgdensity.padic import ValuationProfile; ValuationProfile(prime=5, upto=0, valuations=())"
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith("ValueError: valuations must start with 0")

@@ -1,12 +1,15 @@
-"""The benchmark harness's probe targets still exist in the package."""
+"""The benchmark harness still runs against the package."""
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PROBES_PY = Path(__file__).resolve().parents[1] / "perfbench" / "probes.py"
+ROOT = Path(__file__).resolve().parents[1]
+PROBES_PY = ROOT / "perfbench" / "probes.py"
 
 
 def _probes():
@@ -21,3 +24,11 @@ def test_probe_target_resolves(module, attr, span):
     # a probe whose name is gone is reported missing, not failed, by the
     # harness; here it fails, so a refactor cannot drop one silently
     assert callable(getattr(importlib.import_module(module), attr, None)), span
+
+
+def test_benchmark_self_check_passes():
+    # every workload at its tiny size, against its references: a rename of
+    # anything a workload calls fails here, not only in a benchmark pass
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--self-check"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hgdensity.arith import ResidueSet, primes_up_to
+from hgdensity.errors import HypothesisError
 from hgdensity.quadratic import (
     class_number,
     interval_integer_points,
@@ -211,7 +212,7 @@ def test_multiples_in_u():
 def test_sets_and_class_number_at_benchmark_sizes(p):
     # the benchmark's `queries` workload draws p = 3 mod 4 up to 20,000
     Q = {y * y % p for y in range(1, p)}
-    assert quadratic_residues(p) == Q
+    assert set(quadratic_residues(p)) == Q
     for x in (2, 3, (p + 1) // 2, p - 2, p - 1, -7, p + 5):
         U, V, W = u_set(x, p), v_set(x, p), w_set(x, p)
         for S in (U, V, W):
@@ -287,6 +288,29 @@ def test_record_w_intersections_for_seven_mod_eight():
                     failures.append((p, u, v))
     if failures:  # informational only, by design
         print(f"\nempty W-set intersections for p = 7 mod 8: {failures[:20]}")
+
+
+def test_set_builders_check_p():
+    # a composite p is a HypothesisError, p < 2 a plain ValueError; no
+    # builder returns a set mod 9 with 0 among its "nonzero residues"
+    builders = [
+        quadratic_residues,
+        lambda p: u_set(2, p),
+        lambda p: v_set(2, p),
+        lambda p: w_set(2, p),
+        lambda p: w_intersection_nonempty(2, 3, p),
+    ]
+    for build in builders:
+        for p in (9, 15):
+            with pytest.raises(HypothesisError):
+                build(p)
+        for p in (0, 1, -5):
+            with pytest.raises(ValueError) as info:
+                build(p)
+            assert type(info.value) is ValueError, p
+    rs = quadratic_residues(23)
+    assert isinstance(rs, ResidueSet) and rs.modulus == 23
+    assert list(rs) == sorted({y * y % 23 for y in range(1, 23)})
 
 
 def test_huge_prime_is_refused_before_any_table():

@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -17,12 +18,14 @@ from hgdensity.arith import (
     is_prime,
     modulus_triples,
     normalize_params,
+    primes_up_to,
 )
 from hgdensity.density import (
     DivisorAntichain,
     bounded_counts,
     bounded_residues,
     density,
+    is_union_of_cyclic,
     subgroup_union_size,
 )
 from hgdensity.errors import HypothesisError, ShapeMismatch
@@ -88,24 +91,33 @@ def test_enumerate_b_shapes_densities():
 
 
 def test_shape_members_are_subgroup_unions():
-    sp = parse_special_prime(19)  # r = 2 exercises all shape kinds
-    seen = set()
-    for s in enumerate_b_shapes(sp):
-        members = shape_members(sp, s)
-        assert members not in seen  # all shapes are distinct sets
-        seen.add(members)
-        assert len(members) == s.density * (sp.p - 1)
-        for u in members:  # closed under powers (union of cyclic subgroups)
-            w = u * u % sp.p
-            while w != u:
-                assert w in members
-                w = w * u % sp.p
-    # the subgroup walk against slices of the full list of powers
+    # 19 = 2 * 3^2 + 1 has every shape kind, 487 = 2 * 3^5 + 1 the most shapes
     for p in (19, 23, 47, 163, 487):
         sp = parse_special_prime(p)
-        powers = specialcase._lattice(p)[0]
-        for s in enumerate_b_shapes(sp):
-            assert shape_members(sp, s) == specialcase._members(powers, s.orders), (p, s)
+        shapes = enumerate_b_shapes(sp)
+        members = [shape_members(sp, s) for s in shapes]
+        assert len(set(members)) == len(shapes), p  # all shapes are distinct sets
+        for s, rs in zip(shapes, members):
+            assert isinstance(rs, ResidueSet) and rs.modulus == p, (p, s)
+            assert is_union_of_cyclic(rs), (p, s)
+            assert len(rs) == s.density * (p - 1), (p, s)
+
+
+def test_shape_members_refuse_a_huge_prime_at_once():
+    # finding the primitive root needs p - 1 factored by trial division,
+    # which mod_order refuses above TABLE_LIMIT before any work
+    sp = SpecialPrime(p=200000000000000363, q=100000000000000181, r=1)
+    shape = enumerate_b_shapes(sp)[1]
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match="too large"):
+            shape_members(sp, shape)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert peak < 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 def test_shape_orders_give_the_closed_form_densities():
@@ -431,9 +443,15 @@ def test_remark_cases_exhaustive_at_23():
 
 
 def test_find_generator():
-    for p in (7, 11, 23, 47, 107):
-        g = find_generator(p)
-        assert len({pow(g, k, p) for k in range(p - 1)}) == p - 1
+    # the least g whose powers reach every unit, by brute force
+    for p in primes_up_to(1000)[1:]:
+        least = next(g for g in range(2, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+        assert find_generator(p) == least, p
+    for p in (2, 9, 15):
+        with pytest.raises(HypothesisError):
+            find_generator(p)
+    with pytest.raises(ValueError, match="too large"):
+        find_generator(16777259)  # a prime above TABLE_LIMIT
 
 
 def test_shape_table_json():

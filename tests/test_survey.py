@@ -7,6 +7,8 @@ import math
 import os
 import random
 import signal
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -333,3 +335,16 @@ def test_dry_run_checkpoint_of_another_run_restarts(tmp_path):
         ck.write_text(json.dumps(dict(other, next=5, sampled=3, valid=1)))
         rep = survey.slice_dry_run(8, stride=7, checkpoint=str(ck))
         assert (rep.sampled, rep.valid, rep.completed) == (full.sampled, full.valid, True)
+
+
+def test_histogram_check_survives_python_O():
+    # the field check is an exception, not an assert that -O strips
+    code = "from fractions import Fraction; from hgdensity.survey import Histogram; Histogram({Fraction(1, 2): 3}, 4)"
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith("ValueError: the entries count 3 triples")

@@ -172,6 +172,7 @@ class HGParams:
 
     def __post_init__(self):
         for name, v in (("a", self.a), ("b", self.b), ("c", self.c)):
+            check_rational(v, f"parameter {name}")
             if not (0 < v < 1):
                 raise IntegralParameter(f"parameter {name}={v} must lie in (0, 1)")
         if self.c == self.a or self.c == self.b:
@@ -200,6 +201,8 @@ def normalize_params(a: Fraction, b: Fraction, c: Fraction) -> HGParams:
     Raises IntegralParameter if any of a, b, c, a-c, b-c is an integer,
     since the density formula hypotheses are then violated.
     """
+    for name, v in (("a", a), ("b", b), ("c", c)):
+        check_rational(v, f"parameter {name}")
     for name, v in (("a", a), ("b", b), ("c", c), ("a-c", a - c), ("b-c", b - c)):
         if v.denominator == 1:
             raise IntegralParameter(f"{name} = {v} is an integer")
@@ -246,6 +249,26 @@ def check_int(value, name: str, least: int | None = None) -> None:
         raise ValueError(f"{name} must be an int, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def check_rational(value, name: str) -> None:
+    """ValueError unless value is an int (a bool is not) or a Fraction."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise ValueError(f"{name} must be an int or a Fraction, got {value!r}")
+
+
+def check_numerators(m: int, X, Y, Z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(X, Y, Z) as int64 arrays, the numerators of triples (X[t]/m, Y[t]/m; Z[t]/m).
+
+    ValueError unless they are 1-d of one length with every entry in [1, m - 1].
+    """
+    X, Y, Z = (np.asarray(v, dtype=np.int64) for v in (X, Y, Z))
+    if not X.shape == Y.shape == Z.shape == (len(Z),):
+        raise ValueError(f"numerators must be 1-d of one length, got "
+                         f"{X.shape}, {Y.shape}, {Z.shape}")
+    if len(Z) and (min(X.min(), Y.min(), Z.min()) < 1 or max(X.max(), Y.max(), Z.max()) >= m):
+        raise ValueError(f"numerators must lie in [1, {m - 1}]")
+    return X, Y, Z
 
 
 def check_table_size(n: int, name: str) -> None:

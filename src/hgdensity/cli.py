@@ -1,7 +1,10 @@
 """Command-line surface: exact, machine-readable output for every module.
 
-Exit codes: 2 for argument/usage errors, 1 for violated mathematical
-hypotheses (e.g. a prime not exceeding the modulus), 0 on success.
+Every handler returns its output and :func:`main` prints it once: a str as
+it is, any other value as one line of JSON; ``None`` means the handler wrote
+its own output (the sweep's CSV).  Exit codes: 2 for argument/usage errors,
+1 for violated mathematical hypotheses (e.g. a prime not exceeding the
+modulus), 0 on success.
 """
 
 from __future__ import annotations
@@ -9,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import padic, quadratic, specialcase, survey
@@ -31,19 +35,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact densities of p-adically bounded primes for 2F1 series",
     )
     sub = top.add_subparsers(dest="cmd", required=True)
+    triple = argparse.ArgumentParser(add_help=False)  # the parameters a, b; c
+    for name in "abc":
+        triple.add_argument(name, type=_fraction)
 
-    p = sub.add_parser("density", help="exact density of bounded primes")
+    p = sub.add_parser("density", parents=[triple], help="exact density of bounded primes")
     p.set_defaults(run=_cmd_density)
-    p.add_argument("a", type=_fraction)
-    p.add_argument("b", type=_fraction)
-    p.add_argument("c", type=_fraction)
     p.add_argument("--json", action="store_true", dest="as_json")
 
-    p = sub.add_parser("residues", help="the bounded residue classes mod m")
+    p = sub.add_parser("residues", parents=[triple], help="the bounded residue classes mod m")
     p.set_defaults(run=_cmd_residues)
-    p.add_argument("a", type=_fraction)
-    p.add_argument("b", type=_fraction)
-    p.add_argument("c", type=_fraction)
 
     p = sub.add_parser("digits", help="p-adic digits of a-1 and their limits")
     p.set_defaults(run=_cmd_digits)
@@ -51,11 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("p", type=int)
     p.add_argument("--full-period", action="store_true")
 
-    p = sub.add_parser("bounded", help="per-prime boundedness verdict")
+    p = sub.add_parser("bounded", parents=[triple], help="per-prime boundedness verdict")
     p.set_defaults(run=_cmd_bounded)
-    p.add_argument("a", type=_fraction)
-    p.add_argument("b", type=_fraction)
-    p.add_argument("c", type=_fraction)
     p.add_argument("p", type=int)
     p.add_argument("--empirical", type=int, metavar="N", default=None)
 
@@ -74,25 +72,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="allow full sweeps above height 24 (minutes of CPU)")
 
     p = sub.add_parser("quad", help="quadratic-residue machinery")
-    p.set_defaults(run=_cmd_quad)
     qsub = p.add_subparsers(dest="qcmd", required=True)
-    q = qsub.add_parser("class-number")
-    q.add_argument("p", type=int)
-    q = qsub.add_parser("nonresidue")
-    q.add_argument("p", type=int)
-    q = qsub.add_parser("uset")
-    q.add_argument("x", type=int)
-    q.add_argument("p", type=int)
-    q = qsub.add_parser("wset")
-    q.add_argument("x", type=int)
-    q.add_argument("p", type=int)
-    q = qsub.add_parser("intersect")
-    q.add_argument("u", type=int)
-    q.add_argument("v", type=int)
-    q.add_argument("p", type=int)
-    q = qsub.add_parser("interval-sum")
-    q.add_argument("x", type=int)
-    q.add_argument("p", type=int)
+    for name, ints, run in _QUAD:
+        q = qsub.add_parser(name)
+        q.set_defaults(run=run)
+        for arg in ints.split():
+            q.add_argument(arg, type=int)
 
     p = sub.add_parser("special", help="shape table for primes 2*q^r + 1")
     p.set_defaults(run=_cmd_special)
@@ -101,23 +86,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _cmd_density(args) -> int:
+def print_progress(done: int, total: int):
+    """The dry run's progress line on stderr, rewritten in place."""
+    sys.stderr.write(f"\rsweep: {done}/{total} ({100.0 * done / total:.1f}%)")
+    sys.stderr.flush()
+
+
+def _cmd_density(args):
     params = normalize_params(args.a, args.b, args.c)
-    if args.as_json:
-        print(record(params).to_json())
-    else:
-        print(density(params))
-    return 0
+    return record(params).to_json() if args.as_json else str(density(params))
 
 
-def _cmd_residues(args) -> int:
-    params = normalize_params(args.a, args.b, args.c)
-    rs = bounded_residues(params)
-    print(json.dumps({"m": rs.modulus, "residues": list(rs.members)}))
-    return 0
+def _cmd_residues(args):
+    rs = bounded_residues(normalize_params(args.a, args.b, args.c))
+    return {"m": rs.modulus, "residues": list(rs.members)}
 
 
-def _cmd_digits(args) -> int:
+def _cmd_digits(args):
     a = args.a
     if not (0 < a < 1):
         raise HypothesisError(f"a={a} must lie in (0, 1)")
@@ -137,11 +122,10 @@ def _cmd_digits(args) -> int:
     }
     if args.full_period:
         out["reconstructs"] = exp.reconstruct() == exp.value
-    print(json.dumps(out))
-    return 0
+    return out
 
 
-def _cmd_bounded(args) -> int:
+def _cmd_bounded(args):
     params = normalize_params(args.a, args.b, args.c)
     verdict = padic.digit_bounded(params, args.p)
     out = {"digit": verdict.kind.value, "witness": verdict.witness}
@@ -149,27 +133,21 @@ def _cmd_bounded(args) -> int:
         emp = padic.empirical_bounded(params, args.p, args.empirical)
         out["empirical"] = emp.kind.value
         out["empirical_witness"] = emp.witness
-    print(json.dumps(out))
-    return 0
+    return out
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     if args.dry_run:
         report = survey.slice_dry_run(
             args.N, stride=args.stride, checkpoint=args.checkpoint,
-            progress=survey.print_progress,
+            progress=print_progress,
         )
         sys.stderr.write("\n")
-        print(json.dumps({
-            "N": report.N, "stride": report.stride,
-            "sampled": report.sampled, "valid": report.valid,
-            "completed": report.completed,
-        }))
-        return 0
+        return asdict(report)
     if args.N > 24 and not args.force_large:
         raise HypothesisError(
-            f"a full sweep above height 24 takes minutes of CPU (height 32: "
-            f"about 270 s on a 2-core Xeon); pass --force-large to run height {args.N}"
+            f"a full sweep above height 24 takes minutes of CPU; "
+            f"pass --force-large to run height {args.N}"
         )
     stream = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
@@ -184,29 +162,24 @@ def _cmd_sweep(args) -> int:
     finally:
         if args.out:
             stream.close()
-    return 0
+    return None
 
 
-def _cmd_quad(args) -> int:
-    if args.qcmd == "class-number":
-        cn = quadratic.class_number(args.p)
-        print(json.dumps({"p": cn.p, "h": cn.h}))
-    elif args.qcmd == "nonresidue":
-        print(quadratic.least_nonresidue(args.p))
-    elif args.qcmd == "uset":
-        print(json.dumps(list(quadratic.u_set(args.x, args.p).members)))
-    elif args.qcmd == "wset":
-        print(json.dumps(list(quadratic.w_set(args.x, args.p).members)))
-    elif args.qcmd == "intersect":
-        ok, witness = quadratic.w_intersection_nonempty(args.u, args.v, args.p)
-        print(json.dumps({"nonempty": ok, "witness": witness}))
-    elif args.qcmd == "interval-sum":
-        val = quadratic.legendre_interval_sum(args.x, args.p)
-        print(json.dumps({"sum": val, "h": quadratic.class_number(args.p).h}))
-    return 0
+# the quad subcommands: name, int arguments, handler
+_QUAD = (
+    ("class-number", "p", lambda a: asdict(quadratic.class_number(a.p))),
+    ("nonresidue", "p", lambda a: quadratic.least_nonresidue(a.p)),
+    ("uset", "x p", lambda a: list(quadratic.u_set(a.x, a.p).members)),
+    ("wset", "x p", lambda a: list(quadratic.w_set(a.x, a.p).members)),
+    ("intersect", "u v p", lambda a: dict(zip(
+        ("nonempty", "witness"), quadratic.w_intersection_nonempty(a.u, a.v, a.p)))),
+    ("interval-sum", "x p", lambda a: {
+        "sum": quadratic.legendre_interval_sum(a.x, a.p),
+        "h": quadratic.class_number(a.p).h}),
+)
 
 
-def _cmd_special(args) -> int:
+def _cmd_special(args):
     sp = specialcase.parse_special_prime(args.p)
     if sp is None:
         raise HypothesisError(f"{args.p} is not a prime of the form 2*q^r + 1")
@@ -220,8 +193,7 @@ def _cmd_special(args) -> int:
         res = specialcase.sweep_special(sp)
         out["max_density"] = str(res.max_density)
         out["witness"] = list(res.witness)
-    print(json.dumps(out))
-    return 0
+    return out
 
 
 _PARSER = _build_parser()
@@ -230,13 +202,16 @@ _PARSER = _build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.run(args)
+        out = args.run(args)
     except HypothesisError as e:
         print(f"hypothesis violated: {e}", file=sys.stderr)
         return 1
     except ValueError as e:
         print(f"invalid arguments: {e}", file=sys.stderr)
         return 2
+    if out is not None:  # None: the handler wrote its own output
+        print(out if isinstance(out, str) else json.dumps(out))
+    return 0
 
 
 if __name__ == "__main__":

@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import (HGParams, ResidueSet, cyclic_powers, euler_phi, factorize, is_prime,
-                    unit_mask, units_mod)
+from .arith import (HGParams, ResidueSet, check_numerators, cyclic_powers, euler_phi,
+                    factorize, is_prime, unit_mask, units_mod)
 from .errors import HypothesisError, PrimeTooSmall
 
 # the subgroup kernel evaluates at most this many (triple, unit) cells at
@@ -188,12 +188,9 @@ def _subgroup_chunks(m: int, A, B, C):
     whether subgroup h of ``plan`` lies inside S for triple t of the chunk.
     Chunks hold at most ``_KERNEL_CELLS`` (triple, unit) cells; within a
     chunk, [-vX]_m is computed once per distinct numerator X and gathered
-    per triple.  The numerators are expected in [0, m).
+    per triple.  Numerators outside [1, m - 1] are refused with ValueError.
     """
-    A, B, C = (np.asarray(x, dtype=np.int64) for x in (A, B, C))
-    if not A.shape == B.shape == C.shape == (len(C),):
-        raise ValueError(f"A, B, C must be 1-d of one length, got "
-                         f"{A.shape}, {B.shape}, {C.shape}")
+    A, B, C = check_numerators(m, A, B, C)
     if len(C) == 0:
         return
     plan = _subgroup_plan(m)
@@ -225,8 +222,8 @@ def bounded_counts(m: int, A, B, C) -> np.ndarray:
     """|B| for each triple (A[t]/m, B[t]/m; C[t]/m) of one modulus m.
 
     Every unit generates exactly one cyclic subgroup, so |B| is the sum of
-    phi(|H|) over the cyclic subgroups H inside S.  The numerators are
-    expected in [0, m).
+    phi(|H|) over the cyclic subgroups H inside S.  The numerators must lie
+    in [1, m - 1].
     """
     out = np.empty(len(C), dtype=np.int64)
     for sl, ok, plan in _subgroup_chunks(m, A, B, C):
@@ -238,7 +235,7 @@ def bounded_members(m: int, A, B, C, units) -> np.ndarray:
     """``out[t, k]``: is ``units[k] mod m`` in B for the triple t?
 
     The triples are (A[t]/m, B[t]/m; C[t]/m) of one modulus m, numerators
-    in [0, m), and a unit u lies in B exactly when the cyclic subgroup it
+    in [1, m - 1], and a unit u lies in B exactly when the cyclic subgroup it
     generates lies inside S.  ``units`` may be any integers prime to m, such
     as primes p > m.
     """

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import HGParams, check_prime, check_table_size, mod_order
+from .arith import HGParams, check_numerators, check_prime, check_table_size, mod_order
 from .errors import HypothesisError, PrimeTooSmall
 
 # the batched valuation oracle holds at most this many (triple, event) cells
@@ -121,6 +121,8 @@ def digits_by_formula(a: Fraction, p: int) -> tuple[int, ...]:
 
 def normalized_digit_limit(a: Fraction, u: int, j: int) -> Fraction:
     """Limit of a_j(p)/p over primes p = u mod den(a): {-u^(M-1-j) a}."""
+    if not (0 < a < 1):
+        raise HypothesisError(f"{a} must lie in (0, 1)")
     den = a.denominator
     if math.gcd(u, den) != 1:
         raise HypothesisError(f"u={u} is not a unit mod {den}")
@@ -332,12 +334,7 @@ def empirical_bounded_batch(m: int, X, Y, Z, p: int, N: int) -> np.ndarray:
     check_prime(p)
     if p <= m:
         raise PrimeTooSmall(f"p={p} must exceed the modulus m={m}")
-    X, Y, Z = (np.asarray(v, dtype=np.int64) for v in (X, Y, Z))
-    if not X.shape == Y.shape == Z.shape == (len(Z),):
-        raise ValueError(f"X, Y, Z must be 1-d of one length, got "
-                         f"{X.shape}, {Y.shape}, {Z.shape}")
-    if len(Z) and (min(X.min(), Y.min(), Z.min()) < 1 or max(X.max(), Y.max(), Z.max()) >= m):
-        raise ValueError(f"numerators must lie in [1, {m - 1}]")
+    X, Y, Z = check_numerators(m, X, Y, Z)
     supers = -(-N // (p * p))
     check_table_size((m + 1) * (supers + 1) * p, f"class table for N={N} at p={p}: entries")
     # v_p of coefficient n sums, over the levels p^i <= m N, four counts of

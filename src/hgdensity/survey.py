@@ -12,7 +12,6 @@ import csv
 import json
 import math
 import os
-import sys
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .arith import check_int, euler_phi, modulus_triples
+from .arith import check_int, check_rational, euler_phi, modulus_triples
 # bounded_count is not called here; it stays importable from this module
 # because perfbench/probes.py rebinds survey.bounded_count for its spans
 from .density import bounded_count, bounded_counts  # noqa: F401
@@ -139,6 +138,7 @@ def beta(r: Fraction, N: int, workers: int = 1) -> Fraction:
     Computed over triples with a, b, c pairwise distinct, which makes the
     permutation-symmetry value beta(0, N) = 1/3 exact at every height.
     """
+    check_rational(r, "r")
     if not (0 <= r <= 1):
         raise ValueError(f"r={r} outside [0, 1]")
     counts = survey_counts(N, workers).distinct
@@ -151,6 +151,7 @@ def conjecture_trend(
     eps: Fraction, N_list: list[int], workers: int = 1
 ) -> list[tuple[int, Fraction]]:
     """beta(eps, N) for each N, for trend inspection; no asymptotic claim."""
+    check_rational(eps, "eps")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     return [(N, beta(eps, N, workers)) for N in N_list]
@@ -256,8 +257,3 @@ def slice_dry_run(
                                 completed=False)
     return DryRunReport(N=N, stride=stride, sampled=sampled, valid=valid,
                         completed=True)
-
-
-def print_progress(done: int, total: int, stream=sys.stderr):
-    stream.write(f"\rsweep: {done}/{total} ({100.0 * done / total:.1f}%)")
-    stream.flush()

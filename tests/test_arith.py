@@ -237,6 +237,16 @@ def test_hgparams_rejects_out_of_range():
         HGParams(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
 
 
+@pytest.mark.parametrize("bad", [0.5, True, "1/2", None])
+def test_parameters_must_be_ints_or_fractions(bad):
+    # a float would compare fine and then fail on .denominator
+    third, quarter = Fraction(1, 3), Fraction(1, 4)
+    for args in ((bad, third, quarter), (third, bad, quarter), (third, quarter, bad)):
+        for build in (HGParams, normalize_params):
+            with pytest.raises(ValueError, match="an int or a Fraction"):
+                build(*args)
+
+
 def test_modulus_triples_match_the_reference_generator():
     # element for element and in order, against the per-triple generator
     for m in range(3, 31):

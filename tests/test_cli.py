@@ -1,6 +1,7 @@
 """Command-line surface: output formats and exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -16,6 +17,7 @@ from hgdensity.cli import main
 
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+QUERIES = os.path.join(os.path.dirname(README), "perfbench", "refs", "queries.json")
 
 
 def _readme_examples():
@@ -355,3 +357,23 @@ def test_cli_fuzz_exits_cleanly(argv):
     if code:
         assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
         assert "Traceback" not in err.getvalue() and out.getvalue() == ""
+
+
+def test_benchmark_query_pool_replays_byte_for_byte():
+    # each row: stratum, size, argv, exit code, first 16 hex digits of the
+    # stdout sha256; every stored query must still print exactly that
+    with open(QUERIES) as f:
+        pool = json.load(f)["full"]["pool"]
+    assert len(pool) == 3000
+    mismatches = []
+    for _, _, argv, want_code, want_digest in pool:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv.split())
+            except SystemExit as e:  # argparse usage errors
+                code = e.code if isinstance(e.code, int) else 2
+        got = hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+        if (code, got) != (want_code, want_digest):
+            mismatches.append((argv, code, want_code))
+    assert not mismatches, f"{len(mismatches)} of {len(pool)}, e.g. {mismatches[:5]}"

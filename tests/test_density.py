@@ -26,6 +26,7 @@ from hgdensity.density import (
 )
 from hgdensity.arith import ResidueSet, mod_order, units_mod
 from hgdensity.errors import HypothesisError, PrimeTooSmall
+from hgdensity.padic import empirical_bounded_batch
 from hgdensity.quadratic import quadratic_residues
 from hgdensity import verify
 
@@ -336,3 +337,17 @@ def test_bounded_members_rejects_non_units_and_ragged_batches():
     )
     assert bounded_members(12, [], [], [], [5, 7]).shape == (0, 2)
     assert bounded_members(12, [1], [5], [7], []).shape == (1, 0)
+
+
+@pytest.mark.parametrize("bad", [0, 6, -5, 7])
+def test_batched_kernels_refuse_numerators_outside_1_to_m_minus_1(bad):
+    # -5 and 7 are 1 mod 6: taken mod m they would silently stand for 1/6
+    kernels = (
+        lambda X, Y, Z: bounded_counts(6, X, Y, Z),
+        lambda X, Y, Z: bounded_members(6, X, Y, Z, [1, 5]),
+        lambda X, Y, Z: empirical_bounded_batch(6, X, Y, Z, 7, 343),
+    )
+    for kernel in kernels:
+        for triple in (([bad], [1], [5]), ([1], [bad], [5]), ([1], [5], [bad])):
+            with pytest.raises(ValueError, match=r"\[1, 5\]"):
+                kernel(*triple)

@@ -97,6 +97,14 @@ def test_normalized_digit_limits():
     ]
 
 
+def test_normalized_digit_limit_refuses_a_outside_the_unit_interval():
+    # the twin of digits_by_formula's refusal: {-u^(M-1-j) a} at a = 5/3
+    # would be the limit for a = 2/3, not for a
+    for a in (Fraction(5, 3), Fraction(0), Fraction(1), Fraction(-1, 3)):
+        with pytest.raises(HypothesisError, match=r"must lie in \(0, 1\)"):
+            normalized_digit_limit(a, 2, 0)
+
+
 def test_normalized_digits_converge_to_limits():
     a = Fraction(8, 11)
     for p in (13, 79, 101, 167, 409, 1949):

@@ -115,6 +115,15 @@ def test_conjecture_trend():
         survey.conjecture_trend(Fraction(-1), [3])
 
 
+@pytest.mark.parametrize("bad", [0.1, True])
+def test_beta_refuses_floats_and_bools(bad):
+    # 0.1 would be compared with the exact densities as a float
+    with pytest.raises(ValueError, match="an int or a Fraction"):
+        survey.beta(bad, 5)
+    with pytest.raises(ValueError, match="an int or a Fraction"):
+        survey.conjecture_trend(bad, [5])
+
+
 def test_sweep_determinism_across_workers():
     one = fresh_counts(6, workers=1)
     two = fresh_counts(6, workers=2)

@@ -260,9 +260,14 @@ def check_rational(value, name: str) -> None:
 def check_numerators(m: int, X, Y, Z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(X, Y, Z) as int64 arrays, the numerators of triples (X[t]/m, Y[t]/m; Z[t]/m).
 
-    ValueError unless they are 1-d of one length with every entry in [1, m - 1].
+    ValueError unless they are 1-d of one length of integers (no float or
+    bool, which a cast would truncate) with every entry in [1, m - 1].
     """
-    X, Y, Z = (np.asarray(v, dtype=np.int64) for v in (X, Y, Z))
+    X, Y, Z = (np.asarray(v) for v in (X, Y, Z))
+    for v in (X, Y, Z):
+        if v.size and v.dtype.kind not in "iu":  # an empty list comes in as float64
+            raise ValueError(f"numerators must be integers within int64, got dtype {v.dtype}")
+    X, Y, Z = (v.astype(np.int64, copy=False) for v in (X, Y, Z))
     if not X.shape == Y.shape == Z.shape == (len(Z),):
         raise ValueError(f"numerators must be 1-d of one length, got "
                          f"{X.shape}, {Y.shape}, {Z.shape}")

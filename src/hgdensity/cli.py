@@ -209,6 +209,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"invalid arguments: {e}", file=sys.stderr)
         return 2
+    except OSError as e:  # e.g. an --out or --checkpoint path in a missing directory
+        print(f"file error: {e}", file=sys.stderr)
+        return 2
     if out is not None:  # None: the handler wrote its own output
         print(out if isinstance(out, str) else json.dumps(out))
     return 0

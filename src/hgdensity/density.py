@@ -56,35 +56,56 @@ def _cycle_walk(m: int, A: int, B: int, C: int) -> list[int]:
     S holds the units v with [-vC]_m <= max([-vA]_m, [-vB]_m); a unit u is
     in B when its whole cyclic subgroup <u> lies inside S.
 
-    A bulk filter first steps every candidate u of S at once through u^2,
-    u^3, ... and drops u as soon as a power leaves S, since then <u> is not
-    inside S.  It stops when fewer than ``_FILTER_MIN`` candidates remain or
-    a step removes fewer than 1/``_FILTER_CUT`` of them, so it does at most
-    ``_FILTER_CUT * |S|`` element steps.  A walk over the powers of each
-    survivor then decides it: a walk that closes inside S puts every power
-    it met into B, since each of them generates a subgroup of <u>; those are
-    not walked again.
+    The walk keeps a working set S' with B <= S' <= S and shrinks it as it
+    rules units out.  That is exact because B is closed under powers: a
+    unit v is in B iff <v> lies inside S, and then every power of v is in B
+    too.  So once some u is known to lie outside B, every v with u in <v>
+    lies outside B, and a walk over <v> may stop at u; hence v is in B iff
+    <v> lies inside S'.
 
-    The products -vC and w * u stay below m^2 and are formed in int64;
+    A bulk filter first steps every candidate u of S at once through u^2,
+    u^3, ... and drops u from S' as soon as a power leaves S', since then
+    <u> is not inside S.  It stops when fewer than ``_FILTER_MIN`` candidates
+    remain or a step removes fewer than 1/``_FILTER_CUT`` of them, so it
+    does at most ``_FILTER_CUT * |S|`` element steps.  A walk over the
+    powers of each survivor then decides it: a walk that closes inside S'
+    puts every power it met into B, since each of them generates a subgroup
+    of <u>, and those are not walked again; a walk that leaves S' drops u
+    from it.  Only u itself is dropped, which keeps the walk simple.
+
+    The products u * (m - C) and w * u stay below m^2 and are formed in int64;
     ``unit_mask`` refuses every m above ``TABLE_LIMIT`` = 2^24 with
     ValueError, so m^2 <= 2^48.
     """
     units = np.flatnonzero(unit_mask(m))
-    neg = -units
-    S = units[neg * C % m <= np.maximum(neg * A % m, neg * B % m)]
+    # S from two reused buffers: x = [-uA]_m, y = [-uB]_m, x = max(x, y),
+    # then y = [-uC]_m.  m - X stands for -X mod m and keeps the products
+    # positive, and w -= w // m * m reduces them: numpy divides by a scalar
+    # faster than it takes % m
+    x = np.multiply(units, m - A)
+    x -= x // m * m
+    y = np.multiply(units, m - B)
+    y -= y // m * m
+    np.maximum(x, y, out=x)
+    np.multiply(units, m - C, out=y)
+    y -= y // m * m
+    S = np.compress(y <= x, units)  # a boolean index is slower on a mixed mask
+    del units, x, y
     mask = np.zeros(m, dtype=bool)
     mask[S] = True
     cand = w = S  # w = cand^k after k steps
     while len(cand) >= _FILTER_MIN:
         w = w * cand
-        w -= w // m * m  # numpy divides by a scalar faster than it takes % m
+        w -= w // m * m
         keep = mask[w]
         removed = len(keep) - np.count_nonzero(keep)
         if removed:
-            cand, w = cand[keep], w[keep]
+            mask[cand] = keep  # drop the ruled-out candidates from S'
+            kept = np.flatnonzero(keep)
+            cand, w = cand[kept], w[kept]
         if removed * _FILTER_CUT < len(keep):
             break
-    in_s = mask.tobytes()  # indexing bytes is cheaper than indexing an array
+    in_s = bytearray(mask.tobytes())  # indexing bytes is cheaper than an array
     in_b: set[int] = set()
     for u in cand.tolist():
         if u in in_b:
@@ -96,6 +117,8 @@ def _cycle_walk(m: int, A: int, B: int, C: int) -> list[int]:
             w = w * u % m
         if w == u:
             in_b.update(cycle)
+        else:
+            in_s[u] = 0
     return sorted(in_b)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -46,6 +47,11 @@ class SpecialPrime:
                 f"p={self.p}, q={self.q}, r={self.r} is not a prime p = 2*q^r + 1"
                 " with q an odd prime"
             )
+
+    @cached_property
+    def generator(self) -> int:
+        """The least primitive root mod p, found on first use and kept."""
+        return find_generator(self.p)
 
 
 def parse_special_prime(p: int) -> SpecialPrime | None:
@@ -136,10 +142,10 @@ def shape_members(sp: SpecialPrime, shape: BShape) -> ResidueSet:
     """The explicit subset of (Z/pZ)^x described by a shape.
 
     Walks only the subgroups of the shape's orders, H_d = <g^(n/d)>, so
-    the cost is O(|members|) beyond finding the primitive root g.
+    the cost is O(|members|) beyond the primitive root g, which ``sp``
+    finds once for all its shapes.
     """
-    p, n = sp.p, sp.p - 1
-    g = find_generator(p)
+    p, n, g = sp.p, sp.p - 1, sp.generator
     return ResidueSet(p, [w for d in shape.orders for w in cyclic_powers(pow(g, n // d, p), p)])
 
 

@@ -7,6 +7,8 @@ import json
 import os
 import shlex
 import signal
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -175,6 +177,17 @@ def test_sweep_output_file(capsys, tmp_path):
     code, _, _ = run(capsys, "sweep", "3", "--out", str(target))
     assert code == 0
     assert target.read_text().splitlines()[0] == "density,count"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "3", "--out", "{missing}/x.csv"],
+    ["sweep", "8", "--dry-run", "--checkpoint", "{missing}/ck.json"],
+])
+def test_unwritable_output_path_is_usage_error(capsys, tmp_path, argv):
+    missing = tmp_path / "no-such-directory"
+    code, out, err = run(capsys, *(a.format(missing=missing) for a in argv))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err and "no-such-directory" in err
 
 
 def test_exit_code_hypothesis_violation(capsys):
@@ -377,3 +390,16 @@ def test_benchmark_query_pool_replays_byte_for_byte():
         if (code, got) != (want_code, want_digest):
             mismatches.append((argv, code, want_code))
     assert not mismatches, f"{len(mismatches)} of {len(pool)}, e.g. {mismatches[:5]}"
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    # without an install, python -m hgdensity is the way to the command line
+    import hgdensity
+
+    argv = ["density", "1/2", "1/3", "1/5"]
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(hgdensity.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "hgdensity", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)

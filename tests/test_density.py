@@ -249,6 +249,48 @@ def test_cycle_walk_filter_matches_kernel_at_large_moduli():
         _walk_against_kernel(m, triples)
 
 
+def _pointwise_size(m, A, B, C):
+    v = np.array(units_mod(m))
+    return int(np.count_nonzero(-v * C % m <= np.maximum(-v * A % m, -v * B % m)))
+
+
+def test_cycle_walk_matches_kernel_at_moduli_300_to_5000():
+    # the filter runs once S holds _FILTER_MIN = 256 units and clears every
+    # unit it drops from the walk's set; here that is most triples, and the
+    # kernel's per-modulus plan is still cheap
+    rng = random.Random(20)
+    filtered = total = 0
+    for _ in range(24):
+        m = rng.randrange(300, 5001)
+        triples = []
+        while len(triples) < 3:
+            x, y, z = rng.sample(range(1, m), 3)
+            if math.gcd(x, y, z, m) == 1:
+                triples.append((x, y, z))
+        _walk_against_kernel(m, triples)
+        filtered += sum(_pointwise_size(m, *t) >= 256 for t in triples)
+        total += len(triples)
+    assert filtered >= total // 2, (filtered, total)
+
+
+def test_cycle_walk_stops_at_a_unit_an_earlier_walk_ruled_out():
+    # found by instrumenting the walk: at m = 913 = 11 * 83 the filter steps
+    # twice and leaves 727 and 782 in the walk's set, both in S; 727 is
+    # walked first and fails, so it is cleared, and 782's walk stops at
+    # 782^2 = 727.  Without the clearing that walk would go on past 727
+    # through 77 more powers inside S before one leaves it.
+    m, (x, y, z) = 913, (813, 119, 830)
+    pr = params(Fraction(x, m), Fraction(y, m), Fraction(z, m))
+    assert 782 * 782 % m == 727
+    assert pointwise_condition(pr, 727) and pointwise_condition(pr, 782)
+    w, inside = 727 * 782 % m, 0
+    while pointwise_condition(pr, w):
+        w, inside = w * 782 % m, inside + 1
+    assert inside == 77 and w != 782
+    (walk,) = _walk_against_kernel(m, [(x, y, z)])
+    assert walk == sorted(brute_bounded_set(pr.a, pr.b, pr.c)) == [1, 331]
+
+
 def test_cycle_walk_keeps_members_of_order_above_the_filter_steps():
     # the filter steps 8 times here, and B holds units of order 14: they
     # survive the filter and the walk puts their whole cycles into B
@@ -350,4 +392,17 @@ def test_batched_kernels_refuse_numerators_outside_1_to_m_minus_1(bad):
     for kernel in kernels:
         for triple in (([bad], [1], [5]), ([1], [bad], [5]), ([1], [5], [bad])):
             with pytest.raises(ValueError, match=r"\[1, 5\]"):
+                kernel(*triple)
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda X, Y, Z: bounded_counts(6, X, Y, Z),
+    lambda X, Y, Z: bounded_members(6, X, Y, Z, [1, 5]),
+    lambda X, Y, Z: empirical_bounded_batch(6, X, Y, Z, 7, 343),
+], ids=["bounded_counts", "bounded_members", "empirical_bounded_batch"])
+def test_batched_kernels_refuse_non_integer_numerators(kernel):
+    # a cast to int64 would truncate 1.9 to 1 and read True as 1
+    for bad in ([1.9], np.array([5.0]), [True], [Fraction(1)]):
+        for triple in ((bad, [1], [5]), ([1], bad, [5]), ([1], [5], bad)):
+            with pytest.raises(ValueError, match="must be integers"):
                 kernel(*triple)

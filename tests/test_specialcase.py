@@ -454,6 +454,17 @@ def test_find_generator():
         find_generator(16777259)  # a prime above TABLE_LIMIT
 
 
+def test_special_prime_finds_its_generator_once(monkeypatch):
+    # classify_b compares B with every shape's members: 21 shapes at p = 163
+    calls = []
+    real = specialcase.find_generator
+    monkeypatch.setattr(specialcase, "find_generator", lambda p: calls.append(p) or real(p))
+    assert classify_b(params(1, 9, 5, 163)).label() == "FULL(4)"
+    sp = parse_special_prime(163)
+    assert [shape_members(sp, s) for s in enumerate_b_shapes(sp)][-1].modulus == 163
+    assert calls == [163, 163] and sp.generator == 2
+
+
 def test_shape_table_json():
     rows = shape_table_json(parse_special_prime(23))
     assert {"shape": "HALF(0)", "density": "1/2"} in rows

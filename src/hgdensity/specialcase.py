@@ -221,16 +221,51 @@ def _pattern_sweep(p: int, powg: np.ndarray, divs: list[int]) -> tuple[np.ndarra
     tiled, into its predecessor's, so every divisor reaches the full width
     along exactly one path and the sum of its distinct bits is their OR.
 
+    Symmetry.  Euler's and Pfaff's transformations (Abramowitz-Stegun
+    15.3.3-15.3.4, DLMF 15.8.1),
+    F(a, b; c; z) = (1 - z)^(-b) F(c - a, b; c; z/(z - 1)) and
+    F(a, b; c; z) = (1 - z)^(c - a - b) F(c - a, c - b; c; z),
+    keep p-integrality at every prime p not dividing the denominators.  For
+    a rational lambda whose denominator p does not divide, (1 - z)^lambda
+    has the coefficients (-1)^k binom(lambda, k), which are p-adic integers
+    (binom(., k) maps Z into Z, hence its closure Z_p into Z_p), and so has
+    its inverse (1 - z)^(-lambda).  z/(z - 1) = -z - z^2 - ... is integral
+    with a unit linear term and is its own inverse under composition, so
+    f(z) -> f(z/(z - 1)) is an automorphism of Z_p[[z]].  Hence F(a, b; c)
+    and F(c - a, b; c) are bounded at the same such primes.  Reading c - a
+    mod 1 is harmless: the Dwork-Christol criterion sees a parameter only
+    through its Dwork image D_p(a) = (a + l)/p, l in [0, p) with
+    l = -a mod p, and D_p(a + 1) = D_p(a) once p exceeds the numerators, so
+    shifting a parameter by an integer changes boundedness at finitely many
+    primes, which no Dirichlet density sees; and this package's B reads a
+    parameter A/m only through [-vA]_m, a function of A mod m.
+
+    In the sweep's coordinates (a, b; c) -> ({c - a}, b; c) is
+    x -> z - x, that is s -> 1 - s, and Pfaff's map on b is t -> 1 - t.
+    B is invariant already cell by cell, at any prime, special or not:
+    for w = vz with [-w]_p != [-ws]_p (s != 1), [-w(1 - s)]_p is
+    [-w]_p - [-ws]_p when that is positive and [-w]_p - [-ws]_p + p
+    otherwise, so [-w]_p <= [-w(1 - s)]_p exactly when [-w]_p <= [-ws]_p,
+    and T(1 - s, t) = T(s, t).  With the swap s <-> t these maps generate a
+    group of order 8 on the pairs (s, t) of residues other than 0 and 1,
+    and it keeps every cell's pattern; h = (p + 1)/2 is the fixed point of
+    s -> 1 - s = p + 1 - s.  The sweep therefore walks only the fundamental
+    domain 2 <= s <= t <= h and weighs each row by its orbit size: 8 when
+    s < t < h, 4 when s = t < h or s < t = h, and 1 at s = t = h, which is
+    8 per row, less 4 on the rows t = s and 4 on the rows t = h, plus 1 on
+    the row s = t = h.  The total (p - 2)^2 (p - 1) that
+    :func:`sweep_special` checks guards the weights.
+
     Consecutive s are processed in blocks of whole s: row r of a block is
-    the pair (s[r], t[r]) with t >= s (the x <-> y symmetry halves the
-    (s, t) space: off-diagonal rows weigh 2), and a block takes the next s
+    the pair (s[r], t[r]) with s <= t <= h, and a block takes the next s
     while its rows times p - 1 stay within ``_SWEEP_CELLS``; an s over that
     budget alone is a block of its own.  Returns the count of ordered
     triples per pattern, the largest |B| and the key
     min(x, y)*p^2 + max(x, y)*p + z of the lexicographically least triple
-    attaining it.
+    attaining it: per hit cell, the least key over its images
+    (s or 1 - s) x (t or 1 - t), the key's min and max taking the swap.
     """
-    n = p - 1
+    n, h = p - 1, (p + 1) // 2
     pattern = np.arange(1 << len(divs))
     sizes = sum(euler_phi(d) * (pattern >> i & 1) for i, d in enumerate(divs))
     up = [divs.index(d // factorize(d)[0][0]) for d in divs[1:]]  # index of d/l
@@ -244,19 +279,20 @@ def _pattern_sweep(p: int, powg: np.ndarray, divs: list[int]) -> tuple[np.ndarra
     counts = np.zeros(len(pattern), dtype=np.int64)
     best_size, best_key = -1, 0
     lo = 2
-    while lo < p:
-        hi, rows = lo + 1, p - lo
-        while hi < p and (rows + p - hi) * n <= _SWEEP_CELLS:
-            rows, hi = rows + p - hi, hi + 1
+    while lo <= h:
+        hi, rows = lo + 1, h - lo + 1
+        while hi <= h and (rows + h - hi + 1) * n <= _SWEEP_CELLS:
+            rows, hi = rows + h - hi + 1, hi + 1
         span = np.arange(lo, hi)
-        lens = p - span
-        diag = np.cumsum(lens) - lens  # the row t = s of each s
+        lens = h + 1 - span
+        ends = np.cumsum(lens)
+        diag = ends - lens  # the row t = s of each s; ends - 1 is its row t = h
         s = np.repeat(span, lens)
         t = np.arange(rows) - np.repeat(diag - span, lens)
         lo = hi
         fits = [le[log[p - t]]]  # OR each s's row into its rows in place
-        for u, start in zip(span.tolist(), diag.tolist()):
-            fits[0][start:start + p - u] |= le[log[p - u]]
+        for u, start, end in zip(span.tolist(), diag.tolist(), ends.tolist()):
+            fits[0][start:end] |= le[log[p - u]]
         for d, i in zip(divs[1:], up):
             fits.append(fits[i].reshape(rows, d // divs[i], n // d).all(axis=1))
         pats = [f * dtype.type(1 << i) for i, f in enumerate(fits)]
@@ -267,7 +303,11 @@ def _pattern_sweep(p: int, powg: np.ndarray, divs: list[int]) -> tuple[np.ndarra
         (mask,) = pats
         found = np.zeros(len(counts), dtype=np.int64)
         np.add.at(found, mask.ravel(), 1)  # bincount would copy mask to intp
-        counts += 2 * found - np.bincount(mask[diag].ravel(), minlength=len(counts))
+        edges = np.bincount(mask[np.concatenate([diag, ends - 1])].ravel(),
+                            minlength=len(counts))
+        counts += 8 * found - 4 * edges
+        if hi > h:  # the row s = t = h, last of the last block
+            counts += np.bincount(mask[-1], minlength=len(counts))
         top = int(sizes[found > 0].max())
         if top < best_size:
             continue
@@ -277,7 +317,8 @@ def _pattern_sweep(p: int, powg: np.ndarray, divs: list[int]) -> tuple[np.ndarra
         r, j = np.divmod(np.flatnonzero(hit), n)
         z = powg[j]
         x, y = s[r] * z % p, t[r] * z % p
-        key = int((np.minimum(x, y) * p * p + np.maximum(x, y) * p + z).min())
+        key = min(int((np.minimum(a, b) * p * p + np.maximum(a, b) * p + z).min())
+                  for a in (x, (z - x) % p) for b in (y, (z - y) % p))
         if top > best_size or key < best_key:
             best_size, best_key = top, key
     return counts, best_size, best_key
@@ -289,10 +330,12 @@ def sweep_special(sp: SpecialPrime) -> SweepResult:
     :func:`_pattern_sweep` counts the triples per subgroup pattern, building
     each subgroup's coset-fit table from its maximal subgroup's (the
     least-prime recursion) and holding the patterns in the narrowest
-    unsigned dtype, uint16 for up to 16 divisors of p - 1.  It runs one
-    kernel pass per block of consecutive s of at most ``_SWEEP_CELLS``
-    cells; an s that alone holds more (the first s once p > 257) is a block
-    of its own.  The counts are mapped to shapes through a table built once
+    unsigned dtype, uint16 for up to 16 divisors of p - 1.  It walks one
+    row (s, t) per orbit of the Euler-Pfaff symmetry group, 2 <= s <= t <=
+    (p + 1)/2, weighted by the orbit's size, and runs one kernel pass per
+    block of consecutive s of at most ``_SWEEP_CELLS`` cells; an s that
+    alone holds more (the first s once p > 363) is a block of its own.
+    The counts are mapped to shapes through a table built once
     from the subgroup orders of enumerate_b_shapes; a pattern that matches
     no shape, or a total other than (p - 2)^2 (p - 1), raises
     ShapeMismatch.  The sweep holds (p - 1)^2 comparison cells, so p - 1

@@ -288,15 +288,16 @@ def test_sweep_structure_at_487():
     p = 487  # 2 * 3^5 + 1
     sp = parse_special_prime(p)
     assert (sp.q, sp.r) == (3, 5)
-    # the sweep holds the rows of one s (at most p - 2) at a time; an index
-    # of every (s, t) pair (two int64 arrays) held through it reads 4.6 MiB
+    # the sweep holds the rows of one s (at most (p - 1)/2) at a time; an
+    # index of every (s, t) pair (two int64 arrays) held through it reads
+    # 4.6 MiB
     tracemalloc.start()
     try:
         res = sweep_special(sp)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+    assert peak < 2.5 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
     labels = {s.label() for s in enumerate_b_shapes(sp)}
     assert set(res.shape_counts) <= labels
     assert "FULL(0)" not in res.shape_counts
@@ -340,12 +341,14 @@ def test_pattern_kernel_max_density_at_every_prime_below_100():
 
 @pytest.mark.parametrize("p", [13, 19, 23, 47, 61])
 def test_pattern_kernel_blocks_are_invisible(monkeypatch, p):
-    # a budget of 1 cell puts one s in each block, 3 (p - 1)(p - 3) about
-    # three, and the default all of them at 13 to 47; the witness must
-    # survive a tie between blocks and within one
+    # a budget of 1 cell puts one s in each block, 3 (p - 1)(p - 3) / 2
+    # exactly three in the first (s = 2, 3 and 4 hold (p - 1)/2, (p - 3)/2
+    # and (p - 5)/2 rows of p - 1 cells) and more in later ones, and the
+    # default all of them at 13 to 61; the witness must survive a tie
+    # between blocks and within one
     powg, divs = specialcase._lattice(p)
     outs = []
-    for cap in (None, 1, 3 * (p - 1) * (p - 3)):
+    for cap in (None, 1, 3 * (p - 1) * (p - 3) // 2):
         if cap is not None:
             monkeypatch.setattr(specialcase, "_SWEEP_CELLS", cap)
         counts, top, key = specialcase._pattern_sweep(p, powg, divs)

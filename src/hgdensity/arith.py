@@ -135,7 +135,8 @@ def is_prime(n: int) -> bool:
 
 
 def check_prime(p: int):
-    """ValueError for p < 2, HypothesisError for a composite p."""
+    """ValueError for a non-int or p < 2, HypothesisError for a composite p."""
+    check_int(p, "prime p")
     if p < 2:
         raise ValueError(f"p={p} must be a prime >= 2")
     if not is_prime(p):

@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import (HGParams, ResidueSet, check_numerators, cyclic_powers, euler_phi,
-                    factorize, is_prime, unit_mask, units_mod)
+from .arith import (HGParams, ResidueSet, check_numerators, check_prime, cyclic_powers,
+                    euler_phi, factorize, unit_mask, units_mod)
 from .errors import HypothesisError, PrimeTooSmall
 
 # the subgroup kernel evaluates at most this many (triple, unit) cells at
@@ -73,10 +73,12 @@ def _cycle_walk(m: int, A: int, B: int, C: int) -> list[int]:
     of <u>, and those are not walked again; a walk that leaves S' drops u
     from it.  Only u itself is dropped, which keeps the walk simple.
 
-    The products u * (m - C) and w * u stay below m^2 and are formed in int64;
-    ``unit_mask`` refuses every m above ``TABLE_LIMIT`` = 2^24 with
-    ValueError, so m^2 <= 2^48.
+    Numerators outside [1, m - 1] are a ValueError.  The products u * (m - C)
+    and w * u stay below m^2 and are formed in int64; ``unit_mask`` refuses
+    every m above ``TABLE_LIMIT`` = 2^24 with ValueError, so m^2 <= 2^48.
     """
+    if not 0 < min(A, B, C) <= max(A, B, C) < m:
+        raise ValueError(f"numerators must lie in [1, {m - 1}], got {A}, {B}, {C}")
     units = np.flatnonzero(unit_mask(m))
     # S from two reused buffers: x = [-uA]_m, y = [-uB]_m, x = max(x, y),
     # then y = [-uC]_m.  m - X stands for -X mod m and keeps the products
@@ -262,7 +264,10 @@ def bounded_members(m: int, A, B, C, units) -> np.ndarray:
     generates lies inside S.  ``units`` may be any integers prime to m, such
     as primes p > m.
     """
-    units = np.asarray(units, dtype=np.int64)
+    units = np.asarray(units)
+    if units.size and units.dtype.kind not in "iu":  # as in check_numerators
+        raise ValueError(f"units must be integers within int64, got dtype {units.dtype}")
+    units = units.astype(np.int64, copy=False)
     if units.ndim != 1 or (np.gcd(units, m) != 1).any():
         raise ValueError(f"units must be a 1-d array of integers prime to {m}")
     out = np.empty((len(C), len(units)), dtype=bool)
@@ -286,11 +291,10 @@ def bounded_prime_test(params: HGParams, p: int) -> bool:
     pointwise condition, so only <u> is walked: O(ord(u)) steps, not all
     of B.
     """
+    check_prime(p)
     m = params.m
     if p <= m:
         raise PrimeTooSmall(f"p={p} must exceed the modulus m={m}")
-    if not is_prime(p):
-        raise HypothesisError(f"p={p} is not prime")
     A, B, C = int(params.a * m), int(params.b * m), int(params.c * m)
     u = w = p % m
     while (-w * C) % m <= max((-w * A) % m, (-w * B) % m):

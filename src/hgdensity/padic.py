@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import HGParams, check_numerators, check_prime, check_table_size, mod_order
+from .arith import (HGParams, check_int, check_numerators, check_prime, check_table_size,
+                    mod_order)
 from .errors import HypothesisError, PrimeTooSmall
 
 # the batched valuation oracle holds at most this many (triple, event) cells
@@ -214,6 +215,7 @@ def coefficient_valuations(params: HGParams, p: int, N: int) -> ValuationProfile
     themselves are never materialized.
     """
     check_prime(p)
+    check_int(N, "N")
     if N < 0:
         raise ValueError(f"N={N} must be >= 0")
     pos, deltas = _valuation_deltas(params, p, N)
@@ -243,9 +245,11 @@ def empirical_bounded(params: HGParams, p: int, N: int) -> BoundednessVerdict:
 
     UNBOUNDED iff some valuation drops strictly below an earlier valuation
     that was already <= -1 (:func:`_descents`).  The prime is not checked
-    here beyond p >= 2: it is the one-triple reference for
+    here beyond being an int >= 2: it is the one-triple reference for
     :func:`empirical_bounded_batch`, and callers draw their primes from a sieve.
     """
+    check_int(p, "prime p")
+    check_int(N, "N")
     if p < 2:
         raise ValueError(f"p={p} must be a prime >= 2")
     if N < 1:
@@ -329,6 +333,7 @@ def empirical_bounded_batch(m: int, X, Y, Z, p: int, N: int) -> np.ndarray:
     Triples go in chunks of at most ``_ORACLE_CELLS`` cells.  Returns a bool
     array, true where the verdict is BOUNDED.
     """
+    check_int(N, "N")
     if N < 1:
         raise ValueError(f"N={N} must be >= 1: no coefficient would be examined")
     check_prime(p)

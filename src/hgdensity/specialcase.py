@@ -14,14 +14,13 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .arith import (TABLE_LIMIT, HGParams, ResidueSet, check_prime, check_table_size,
-                    cyclic_powers, euler_phi, factorize, is_prime, mod_order)
+from .arith import (TABLE_LIMIT, HGParams, ResidueSet, check_int, check_prime,
+                    check_table_size, cyclic_powers, euler_phi, factorize, is_prime, mod_order)
 from .density import bounded_residues, density
 from .errors import CaseViolation, HypothesisError, ShapeMismatch
 
 # the pattern sweep evaluates at most this many (row, unit) cells at once,
-# unless one s alone holds more, which bounds its temporaries to a few
-# arrays of this many entries
+# which bounds its temporaries to a few arrays of this many entries
 _SWEEP_CELLS = 1 << 16
 
 
@@ -36,6 +35,8 @@ class SpecialPrime:
     def __post_init__(self):
         # r is bounded before q**r is formed; q odd and r >= 1 give p > 3
         # and p = 3 mod 4
+        for name in ("p", "q", "r"):
+            check_int(getattr(self, name), name)
         if not (
             0 < self.r < self.p.bit_length()
             and self.q % 2 == 1
@@ -56,6 +57,7 @@ class SpecialPrime:
 
 def parse_special_prime(p: int) -> SpecialPrime | None:
     """Recognize p = 2*q**r + 1; None when p is not of this form."""
+    check_int(p, "p")
     if p < 5 or not is_prime(p):
         return None
     if p > TABLE_LIMIT:
@@ -197,6 +199,16 @@ def _pattern_table(sp: SpecialPrime, divs: list[int]) -> dict[int, BShape]:
     return table
 
 
+def _orbit_rows(p: int, step: int):
+    """The rows 2 <= s <= t <= (p + 1)/2 and their orbit sizes, ``step`` rows at a time."""
+    h = (p + 1) // 2
+    s, t = (v.astype(np.uint16) + 2 for v in np.triu_indices(h - 1))  # uint16: p <= 4097
+    weight = np.where((s == t) | (t == h), np.uint8(4), np.uint8(8))
+    weight[-1] = 1  # s = t = h
+    for lo in range(0, len(s), step):
+        yield s[lo : lo + step], t[lo : lo + step], weight[lo : lo + step]
+
+
 def _pattern_sweep(p: int, powg: np.ndarray, divs: list[int]) -> tuple[np.ndarray, int, int]:
     """Triples (x/p, y/p; z/p) per subgroup pattern, the largest |B| and its key.
 
@@ -251,21 +263,17 @@ def _pattern_sweep(p: int, powg: np.ndarray, divs: list[int]) -> tuple[np.ndarra
     and it keeps every cell's pattern; h = (p + 1)/2 is the fixed point of
     s -> 1 - s = p + 1 - s.  The sweep therefore walks only the fundamental
     domain 2 <= s <= t <= h and weighs each row by its orbit size: 8 when
-    s < t < h, 4 when s = t < h or s < t = h, and 1 at s = t = h, which is
-    8 per row, less 4 on the rows t = s and 4 on the rows t = h, plus 1 on
-    the row s = t = h.  The total (p - 2)^2 (p - 1) that
-    :func:`sweep_special` checks guards the weights.
+    s < t < h, 4 when s = t < h or s < t = h, and 1 at s = t = h.  The total
+    (p - 2)^2 (p - 1) that :func:`sweep_special` checks guards the weights.
 
-    Consecutive s are processed in blocks of whole s: row r of a block is
-    the pair (s[r], t[r]) with s <= t <= h, and a block takes the next s
-    while its rows times p - 1 stay within ``_SWEEP_CELLS``; an s over that
-    budget alone is a block of its own.  Returns the count of ordered
+    Rows go in chunks of max(1, ``_SWEEP_CELLS`` // (p - 1)) rows, at most
+    ``_SWEEP_CELLS`` cells at any admitted p.  Returns the count of ordered
     triples per pattern, the largest |B| and the key
     min(x, y)*p^2 + max(x, y)*p + z of the lexicographically least triple
     attaining it: per hit cell, the least key over its images
     (s or 1 - s) x (t or 1 - t), the key's min and max taking the swap.
     """
-    n, h = p - 1, (p + 1) // 2
+    n = p - 1
     pattern = np.arange(1 << len(divs))
     sizes = sum(euler_phi(d) * (pattern >> i & 1) for i, d in enumerate(divs))
     up = [divs.index(d // factorize(d)[0][0]) for d in divs[1:]]  # index of d/l
@@ -278,36 +286,19 @@ def _pattern_sweep(p: int, powg: np.ndarray, divs: list[int]) -> tuple[np.ndarra
     le = shifted[n // 2] <= shifted
     counts = np.zeros(len(pattern), dtype=np.int64)
     best_size, best_key = -1, 0
-    lo = 2
-    while lo <= h:
-        hi, rows = lo + 1, h - lo + 1
-        while hi <= h and (rows + h - hi + 1) * n <= _SWEEP_CELLS:
-            rows, hi = rows + h - hi + 1, hi + 1
-        span = np.arange(lo, hi)
-        lens = h + 1 - span
-        ends = np.cumsum(lens)
-        diag = ends - lens  # the row t = s of each s; ends - 1 is its row t = h
-        s = np.repeat(span, lens)
-        t = np.arange(rows) - np.repeat(diag - span, lens)
-        lo = hi
-        fits = [le[log[p - t]]]  # OR each s's row into its rows in place
-        for u, start, end in zip(span.tolist(), diag.tolist(), ends.tolist()):
-            fits[0][start:end] |= le[log[p - u]]
+    for s, t, weight in _orbit_rows(p, max(1, _SWEEP_CELLS // n)):
+        fits = [le[log[p - s]] | le[log[p - t]]]
         for d, i in zip(divs[1:], up):
-            fits.append(fits[i].reshape(rows, d // divs[i], n // d).all(axis=1))
+            fits.append(fits[i].reshape(-1, d // divs[i], n // d).all(axis=1))
         pats = [f * dtype.type(1 << i) for i, f in enumerate(fits)]
         del fits
         for d, i in zip(divs[:0:-1], up[::-1]):  # each divisor after its multiples
             child = pats.pop()
-            pats[i].reshape(rows, d // divs[i], n // d)[...] += child[:, None, :]
+            pats[i].reshape(-1, d // divs[i], n // d)[...] += child[:, None, :]
         (mask,) = pats
-        found = np.zeros(len(counts), dtype=np.int64)
-        np.add.at(found, mask.ravel(), 1)  # bincount would copy mask to intp
-        edges = np.bincount(mask[np.concatenate([diag, ends - 1])].ravel(),
-                            minlength=len(counts))
-        counts += 8 * found - 4 * edges
-        if hi > h:  # the row s = t = h, last of the last block
-            counts += np.bincount(mask[-1], minlength=len(counts))
+        found = sum(w * np.bincount(mask[weight == w].ravel(), minlength=len(counts))
+                    for w in (8, 4, 1))
+        counts += found
         top = int(sizes[found > 0].max())
         if top < best_size:
             continue
@@ -333,14 +324,12 @@ def sweep_special(sp: SpecialPrime) -> SweepResult:
     unsigned dtype, uint16 for up to 16 divisors of p - 1.  It walks one
     row (s, t) per orbit of the Euler-Pfaff symmetry group, 2 <= s <= t <=
     (p + 1)/2, weighted by the orbit's size, and runs one kernel pass per
-    block of consecutive s of at most ``_SWEEP_CELLS`` cells; an s that
-    alone holds more (the first s once p > 363) is a block of its own.
-    The counts are mapped to shapes through a table built once
-    from the subgroup orders of enumerate_b_shapes; a pattern that matches
-    no shape, or a total other than (p - 2)^2 (p - 1), raises
-    ShapeMismatch.  The sweep holds (p - 1)^2 comparison cells, so p - 1
-    above the square root of ``TABLE_LIMIT`` is refused with ValueError
-    before anything is built.
+    chunk of rows of at most ``_SWEEP_CELLS`` cells.  The counts are mapped
+    to shapes through a table built once from the subgroup orders of
+    enumerate_b_shapes; a pattern that matches no shape, or a total other
+    than (p - 2)^2 (p - 1), raises ShapeMismatch.  The sweep holds
+    (p - 1)^2 comparison cells, so p - 1 above the square root of
+    ``TABLE_LIMIT`` is refused with ValueError before anything is built.
     """
     p = sp.p
     n = p - 1

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgdensity import verify
+from hgdensity import padic, quadratic, specialcase, verify
 from hgdensity.arith import (
     TABLE_LIMIT,
     HGParams,
     ResidueSet,
+    check_prime,
     cyclic_powers,
     euler_phi,
     factorize,
@@ -27,6 +28,7 @@ from hgdensity.arith import (
     unit_mask,
     units_mod,
 )
+from hgdensity.density import bounded_prime_test
 from hgdensity.errors import IntegralParameter, NotAUnit
 
 from oracles import sieve_primes
@@ -245,6 +247,37 @@ def test_parameters_must_be_ints_or_fractions(bad):
         for build in (HGParams, normalize_params):
             with pytest.raises(ValueError, match="an int or a Fraction"):
                 build(*args)
+
+
+_THIRDS = normalize_params(Fraction(1, 3), Fraction(1, 3), Fraction(2, 3))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_prime(7.0),
+    lambda: check_prime(True),
+    lambda: padic.digit_bounded(_THIRDS, 31.0),
+    lambda: padic.padic_digits(Fraction(-1, 2), 7.0),
+    lambda: specialcase.find_generator(7.0),
+    lambda: quadratic.class_number(7.0),
+    lambda: specialcase.parse_special_prime(7.0),
+    lambda: specialcase.SpecialPrime(7, 3, True),
+    lambda: specialcase.SpecialPrime(7.0, 3, 1),
+    lambda: bounded_prime_test(_THIRDS, 31.0),
+    lambda: bounded_prime_test(_THIRDS, 41.0),
+    lambda: padic.empirical_bounded(_THIRDS, 31.0, 10),
+    lambda: padic.coefficient_valuations(_THIRDS, 31, 10.5),
+    lambda: padic.empirical_bounded(_THIRDS, 31, 10.5),
+    lambda: padic.empirical_bounded_batch(3, [1], [1], [2], 31, 10.5),
+], ids=["check_prime", "check_prime-bool", "digit_bounded", "padic_digits",
+        "find_generator", "class_number", "parse_special_prime", "SpecialPrime-r",
+        "SpecialPrime-p", "bounded_prime_test-31", "bounded_prime_test-41",
+        "empirical_bounded-p", "coefficient_valuations-N", "empirical_bounded-N",
+        "empirical_bounded_batch-N"])
+def test_primes_and_horizons_must_be_ints(call):
+    # a float once compared fine, then failed deep inside with a TypeError
+    # or AttributeError, or answered as if it were the int it equals
+    with pytest.raises(ValueError, match="must be an int, got"):
+        call()
 
 
 def test_modulus_triples_match_the_reference_generator():

@@ -13,6 +13,7 @@ from hgdensity.density import (
     DensityRecord,
     DivisorAntichain,
     _cycle_walk,
+    bounded_count,
     bounded_counts,
     bounded_members,
     bounded_prime_test,
@@ -379,6 +380,24 @@ def test_bounded_members_rejects_non_units_and_ragged_batches():
     )
     assert bounded_members(12, [], [], [], [5, 7]).shape == (0, 2)
     assert bounded_members(12, [1], [5], [7], []).shape == (1, 0)
+
+
+def test_bounded_members_refuses_non_integer_units():
+    # a cast to int64 would answer for unit 7 when given 7.9, and for 1 at True
+    for units in ([7.9], np.array([5.0]), [True]):
+        with pytest.raises(ValueError, match="must be integers"):
+            bounded_members(6, [1], [1], [5], units)
+
+
+@pytest.mark.parametrize("bad", [0, 6, -5, 7])
+def test_single_triple_path_refuses_numerators_outside_1_to_m_minus_1(bad):
+    # -5 and 7 would stand for 1/6 and 0 for an integral parameter; each
+    # once answered 1
+    for walk in (_cycle_walk, bounded_count):
+        for triple in ((bad, 1, 5), (1, bad, 5), (1, 5, bad)):
+            with pytest.raises(ValueError, match=r"\[1, 5\]"):
+                walk(6, *triple)
+    assert bounded_count(6, np.int64(1), np.int32(1), np.uint8(5)) == bounded_count(6, 1, 1, 5)
 
 
 @pytest.mark.parametrize("bad", [0, 6, -5, 7])

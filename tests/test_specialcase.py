@@ -1,6 +1,7 @@
 """Shape classification of B over primes p = 2*q**r + 1."""
 
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -288,9 +289,9 @@ def test_sweep_structure_at_487():
     p = 487  # 2 * 3^5 + 1
     sp = parse_special_prime(p)
     assert (sp.q, sp.r) == (3, 5)
-    # the sweep holds the rows of one s (at most (p - 1)/2) at a time; an
-    # index of every (s, t) pair (two int64 arrays) held through it reads
-    # 4.6 MiB
+    # the sweep holds one chunk of at most _SWEEP_CELLS cells at a time and
+    # its row list as uint16 pairs and uint8 weights; the same list held as
+    # three int64 arrays reads 1.97 MiB
     tracemalloc.start()
     try:
         res = sweep_special(sp)
@@ -341,19 +342,64 @@ def test_pattern_kernel_max_density_at_every_prime_below_100():
 
 @pytest.mark.parametrize("p", [13, 19, 23, 47, 61])
 def test_pattern_kernel_blocks_are_invisible(monkeypatch, p):
-    # a budget of 1 cell puts one s in each block, 3 (p - 1)(p - 3) / 2
-    # exactly three in the first (s = 2, 3 and 4 hold (p - 1)/2, (p - 3)/2
-    # and (p - 5)/2 rows of p - 1 cells) and more in later ones, and the
-    # default all of them at 13 to 61; the witness must survive a tie
-    # between blocks and within one
+    # a chunk holds max(1, cap // (p - 1)) rows: one at a cap of 1 cell,
+    # three at 4 (p - 1) - 1, which splits the (p - 1)/2 rows of s = 2
+    # across chunks, and exactly the rows of s = 2 at (p - 1)^2 / 2, with
+    # rows of two s in later chunks; the default holds every row at 13 to
+    # 61.  The witness must survive a tie between chunks and within one
     powg, divs = specialcase._lattice(p)
     outs = []
-    for cap in (None, 1, 3 * (p - 1) * (p - 3) // 2):
+    for cap in (None, 1, 4 * (p - 1) - 1, (p - 1) * (p - 1) // 2):
         if cap is not None:
             monkeypatch.setattr(specialcase, "_SWEEP_CELLS", cap)
         counts, top, key = specialcase._pattern_sweep(p, powg, divs)
         outs.append((counts.tolist(), top, key))
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1] == outs[2] == outs[3]
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 60) if is_prime(p)])
+def test_orbit_rows_meet_every_orbit_once(p):
+    # the group {s <-> t, s -> 1 - s, t -> 1 - t} on (F_p minus {0, 1})^2,
+    # closed by brute force: each orbit holds exactly one row, weighted by
+    # the orbit's size
+    [(s, t, weight)] = specialcase._orbit_rows(p, p * p)  # one chunk
+    assert (s.dtype, t.dtype, weight.dtype) == (np.uint16, np.uint16, np.uint8)
+    row = {pair: r for r, pair in enumerate(zip(s.tolist(), t.tolist()))}
+    assert len(row) == len(weight)
+    seen, met = set(), []
+    for pair in itertools.product(range(2, p), repeat=2):
+        if pair in seen:
+            continue
+        orbit, todo = {pair}, [pair]
+        while todo:
+            a, b = todo.pop()
+            for image in ((b, a), ((1 - a) % p, b), (a, (1 - b) % p)):
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        seen |= orbit
+        [r] = [row[x] for x in orbit if x in row]
+        assert weight[r] == len(orbit), (p, pair)
+        met.append(r)
+    assert sorted(met) == list(range(len(weight)))
+    assert int(weight.sum()) == (p - 2) ** 2
+
+
+def test_cell_budget_bounds_the_sweep_memory(monkeypatch):
+    # 2^12 cells are 8 rows of 486 units at p = 487, so each chunk's
+    # temporaries are a few KiB and the peak is the (p - 1)^2 comparison
+    # table and the row list; a chunk of the 243 rows of s = 2 reads 1.62 MiB
+    p = 487
+    powg, divs = specialcase._lattice(p)
+    monkeypatch.setattr(specialcase, "_SWEEP_CELLS", 1 << 12)
+    tracemalloc.start()
+    try:
+        counts, _, _ = specialcase._pattern_sweep(p, powg, divs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+    assert int(counts.sum()) == (p - 2) * (p - 2) * (p - 1)
 
 
 def test_special_prime_rejects_inconsistent_fields():

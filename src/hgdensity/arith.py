@@ -258,17 +258,28 @@ def check_rational(value, name: str) -> None:
         raise ValueError(f"{name} must be an int or a Fraction, got {value!r}")
 
 
+def check_int_array(values, name: str) -> np.ndarray:
+    """values as an int64 array, not copied when it is one already.
+
+    ValueError unless every entry is an integer within int64: a cast would
+    truncate a float and read a bool as 1.  An empty list comes in as
+    float64, and numpy reads [1, True] as ints, so a sequence is searched
+    for bools element by element.
+    """
+    v = np.asarray(values)
+    if (v.size and v.dtype.kind not in "iu") or not isinstance(values, np.ndarray) and any(
+            isinstance(x, (bool, np.bool_)) for x in np.asarray(values, dtype=object).flat):
+        raise ValueError(f"{name} must be integers within int64, not floats or bools")
+    return v.astype(np.int64, copy=False)
+
+
 def check_numerators(m: int, X, Y, Z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(X, Y, Z) as int64 arrays, the numerators of triples (X[t]/m, Y[t]/m; Z[t]/m).
 
-    ValueError unless they are 1-d of one length of integers (no float or
-    bool, which a cast would truncate) with every entry in [1, m - 1].
+    ValueError unless they pass :func:`check_int_array` and are 1-d of one
+    length with every entry in [1, m - 1].
     """
-    X, Y, Z = (np.asarray(v) for v in (X, Y, Z))
-    for v in (X, Y, Z):
-        if v.size and v.dtype.kind not in "iu":  # an empty list comes in as float64
-            raise ValueError(f"numerators must be integers within int64, got dtype {v.dtype}")
-    X, Y, Z = (v.astype(np.int64, copy=False) for v in (X, Y, Z))
+    X, Y, Z = (check_int_array(v, "numerators") for v in (X, Y, Z))
     if not X.shape == Y.shape == Z.shape == (len(Z),):
         raise ValueError(f"numerators must be 1-d of one length, got "
                          f"{X.shape}, {Y.shape}, {Z.shape}")

@@ -20,12 +20,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import (HGParams, ResidueSet, check_numerators, check_prime, cyclic_powers,
-                    euler_phi, factorize, unit_mask, units_mod)
+from .arith import (HGParams, ResidueSet, check_int, check_int_array, check_numerators,
+                    check_prime, cyclic_powers, euler_phi, factorize, unit_mask, units_mod)
 from .errors import HypothesisError, PrimeTooSmall
 
-# the subgroup kernel evaluates at most this many (triple, unit) cells at
-# once, which bounds its temporaries to a few arrays of this many entries
+# the subgroup kernel evaluates, and residue tables form, at most this many
+# cells at once, which bounds their temporaries to a few arrays of this size
 _KERNEL_CELLS = 1 << 16
 
 # the single-triple walk's bulk power filter steps its candidates while at
@@ -35,19 +35,47 @@ _FILTER_MIN = 256
 _FILTER_CUT = 32
 
 
+def _numerators(params: HGParams) -> tuple[int, int, int]:
+    """(A, B, C) with params = (A/m, B/m; C/m) at m = ``params.m``."""
+    return tuple(int(v * params.m) for v in (params.a, params.b, params.c))
+
+
+def _neg_residues(m: int, X, units) -> np.ndarray:
+    """``out[i, k] = [-units[k] X[i]]_m``, the rows every pointwise set S is read from.
+
+    For X in [1, m - 1] and units in [0, m - 1] the products u (m - X) fit
+    uint32 below m = 2^16 and int64 above (``unit_mask`` refuses m > 2^24).
+    w -= w // m * m, faster than % m, reduces them ``_KERNEL_CELLS`` at a time.
+    """
+    wide = np.uint32 if m < 1 << 16 else np.int64
+    neg, units = m - np.asarray(X, dtype=wide), np.asarray(units, dtype=wide)
+    out = np.empty((len(neg), len(units)), dtype=np.min_scalar_type(m - 1))
+    cols = max(1, min(len(units), _KERNEL_CELLS))
+    rows = max(1, _KERNEL_CELLS // cols)
+    for j in range(0, len(units), cols):
+        for i in range(0, len(neg), rows):
+            w = np.multiply.outer(neg[i : i + rows], units[j : j + cols])
+            w -= w // m * m
+            out[i : i + rows, j : j + cols] = w
+    return out
+
+
+def _in_s(a, b, c):
+    """S from the residue rows a, b, c of A, B, C: [-uC]_m <= max([-uA]_m, [-uB]_m)."""
+    return c <= np.maximum(a, b)
+
+
 def pointwise_condition(params: HGParams, v: int) -> bool:
     """Single-element predicate {-vc} <= max({-va}, {-vb}).
 
     Comparisons are done at the common denominator m as integer least
     residues, which is exact since every parameter denominator divides m.
     """
+    check_int(v, "v")
     m = params.m
     if math.gcd(v, m) != 1:
         raise HypothesisError(f"v={v} is not a unit mod {m}")
-    A = int(params.a * m)
-    B = int(params.b * m)
-    C = int(params.c * m)
-    return (-v * C) % m <= max((-v * A) % m, (-v * B) % m)
+    return bool(_in_s(*_neg_residues(m, _numerators(params), [v % m])[:, 0]))
 
 
 def _cycle_walk(m: int, A: int, B: int, C: int) -> list[int]:
@@ -73,26 +101,15 @@ def _cycle_walk(m: int, A: int, B: int, C: int) -> list[int]:
     of <u>, and those are not walked again; a walk that leaves S' drops u
     from it.  Only u itself is dropped, which keeps the walk simple.
 
-    Numerators outside [1, m - 1] are a ValueError.  The products u * (m - C)
-    and w * u stay below m^2 and are formed in int64; ``unit_mask`` refuses
-    every m above ``TABLE_LIMIT`` = 2^24 with ValueError, so m^2 <= 2^48.
+    Numerators outside [1, m - 1] are a ValueError.  The products w * u stay
+    below m^2 and are formed in int64; ``unit_mask`` refuses every m above
+    ``TABLE_LIMIT`` = 2^24 with ValueError, so m^2 <= 2^48.
     """
     if not 0 < min(A, B, C) <= max(A, B, C) < m:
         raise ValueError(f"numerators must lie in [1, {m - 1}], got {A}, {B}, {C}")
     units = np.flatnonzero(unit_mask(m))
-    # S from two reused buffers: x = [-uA]_m, y = [-uB]_m, x = max(x, y),
-    # then y = [-uC]_m.  m - X stands for -X mod m and keeps the products
-    # positive, and w -= w // m * m reduces them: numpy divides by a scalar
-    # faster than it takes % m
-    x = np.multiply(units, m - A)
-    x -= x // m * m
-    y = np.multiply(units, m - B)
-    y -= y // m * m
-    np.maximum(x, y, out=x)
-    np.multiply(units, m - C, out=y)
-    y -= y // m * m
-    S = np.compress(y <= x, units)  # a boolean index is slower on a mixed mask
-    del units, x, y
+    S = np.compress(_in_s(*_neg_residues(m, (A, B, C), units)), units)  # faster than a bool index
+    del units
     mask = np.zeros(m, dtype=bool)
     mask[S] = True
     cand = w = S  # w = cand^k after k steps
@@ -127,8 +144,7 @@ def _cycle_walk(m: int, A: int, B: int, C: int) -> list[int]:
 def bounded_residues(params: HGParams) -> ResidueSet:
     """B(a,b;c): units whose every power satisfies the pointwise condition."""
     m = params.m
-    members = _cycle_walk(m, int(params.a * m), int(params.b * m), int(params.c * m))
-    return ResidueSet(modulus=m, members=tuple(members))
+    return ResidueSet(modulus=m, members=tuple(_cycle_walk(m, *_numerators(params))))
 
 
 def bounded_count(m: int, A: int, B: int, C: int) -> int:
@@ -144,7 +160,7 @@ def bounded_count(m: int, A: int, B: int, C: int) -> int:
 class _Plan(NamedTuple):
     """The cyclic subgroups of (Z/m)^*, laid out for the subgroup kernel.
 
-    Kernel row r stands for the unit ``m - neg_units[r]``.  Rows are grouped
+    Kernel row r stands for the unit ``units[r]``.  Rows are grouped
     by the cyclic subgroup they generate, and subgroups by their number of
     generators: each ``(start, count, size)`` in ``classes`` covers ``count``
     subgroups with ``size`` generators each, in rows
@@ -156,7 +172,7 @@ class _Plan(NamedTuple):
     step.  ``column[u]`` is the subgroup that u generates, -1 for non-units.
     """
 
-    neg_units: np.ndarray
+    units: np.ndarray
     classes: list
     weights: np.ndarray
     steps: list
@@ -183,7 +199,7 @@ def _subgroup_plan(m: int) -> _Plan:
         level.append(sum(e for _, e in primes))
     order = sorted(range(len(gens)), key=lambda h: len(gens[h]))
     rank = {h: i for i, h in enumerate(order)}
-    neg_units = np.array([m - u for h in order for u in gens[h]], dtype=np.int64)
+    units = np.array([u for h in order for u in gens[h]], dtype=np.int64)
     weights = np.array([len(gens[h]) for h in order], dtype=np.int64)
     sizes, counts = np.unique(weights, return_counts=True)
     starts = np.cumsum(sizes * counts) - sizes * counts
@@ -196,8 +212,8 @@ def _subgroup_plan(m: int) -> _Plan:
                      for h in tier if len(maximal[h]) > j]
             steps.append(tuple(np.array(side, dtype=np.intp) for side in zip(*pairs)))
     column = np.full(m, -1, dtype=np.intp)
-    column[m - neg_units] = np.repeat(np.arange(len(weights)), weights)
-    return _Plan(neg_units, classes, weights, steps, column)
+    column[units] = np.repeat(np.arange(len(weights)), weights)
+    return _Plan(units, classes, weights, steps, column)
 
 
 def _subgroup_chunks(m: int, A, B, C):
@@ -212,28 +228,22 @@ def _subgroup_chunks(m: int, A, B, C):
     of S per subgroup, then one AND per (H, H^l) pair.  ``ok[h, t]`` says
     whether subgroup h of ``plan`` lies inside S for triple t of the chunk.
     Chunks hold at most ``_KERNEL_CELLS`` (triple, unit) cells; within a
-    chunk, [-vX]_m is computed once per distinct numerator X and gathered
-    per triple.  Numerators outside [1, m - 1] are refused with ValueError.
+    chunk, the residue row of each distinct numerator is formed once and
+    gathered per triple.  Numerators outside [1, m - 1] are a ValueError.
     """
     A, B, C = check_numerators(m, A, B, C)
     if len(C) == 0:
         return
     plan = _subgroup_plan(m)
-    rows = max(1, _KERNEL_CELLS // len(plan.neg_units))
-    dtype = np.min_scalar_type(m)
-    # the products v * (m - u) fit uint32 below m = 2^16: half the bytes and a
-    # faster reduction mod m for a table that dominates when phi(m) is large
-    wide = np.uint32 if m < 1 << 16 else np.int64
-    neg_units = plan.neg_units.astype(wide)
+    rows = max(1, _KERNEL_CELLS // len(plan.units))
     for lo in range(0, len(C), rows):
         sl = slice(lo, lo + rows)
         vals, idx = np.unique(np.concatenate((A[sl], B[sl], C[sl])), return_inverse=True)
-        table = (np.multiply.outer((vals % m).astype(wide), neg_units) % m).astype(dtype)
-        a, b, c = np.split(table[idx], 3)  # a[t, v] = [-vA_t]_m
-        S = np.ascontiguousarray(((c <= a) | (c <= b)).T)
+        a, b, c = np.split(_neg_residues(m, vals, plan.units)[idx], 3)
+        S = np.ascontiguousarray(_in_s(a, b, c).T)
         # free the gathered rows before the next chunk gathers its own: two
         # live at once outgrow malloc's trim threshold and fault in fresh pages
-        del a, b, c, table
+        del a, b, c
         ok = np.concatenate([
             S[start : start + count * size].reshape(count, size, -1).all(axis=1)
             for start, count, size in plan.classes
@@ -264,10 +274,7 @@ def bounded_members(m: int, A, B, C, units) -> np.ndarray:
     generates lies inside S.  ``units`` may be any integers prime to m, such
     as primes p > m.
     """
-    units = np.asarray(units)
-    if units.size and units.dtype.kind not in "iu":  # as in check_numerators
-        raise ValueError(f"units must be integers within int64, got dtype {units.dtype}")
-    units = units.astype(np.int64, copy=False)
+    units = check_int_array(units, "units")
     if units.ndim != 1 or (np.gcd(units, m) != 1).any():
         raise ValueError(f"units must be a 1-d array of integers prime to {m}")
     out = np.empty((len(C), len(units)), dtype=bool)
@@ -280,28 +287,21 @@ def bounded_members(m: int, A, B, C, units) -> np.ndarray:
 def density(params: HGParams) -> Fraction:
     """Exact Dirichlet density of bounded primes: |B(a,b;c)| / phi(m)."""
     m = params.m
-    n = bounded_count(m, int(params.a * m), int(params.b * m), int(params.c * m))
-    return Fraction(n, euler_phi(m))
+    return Fraction(bounded_count(m, *_numerators(params)), euler_phi(m))
 
 
 def bounded_prime_test(params: HGParams, p: int) -> bool:
     """True iff p (> m, prime) lies in a bounded residue class mod m.
 
     The class u = p mod m is bounded when every power of u satisfies the
-    pointwise condition, so only <u> is walked: O(ord(u)) steps, not all
-    of B.
+    pointwise condition, so S is read over <u> only: O(ord(u)) cells, not
+    all of B.
     """
     check_prime(p)
     m = params.m
     if p <= m:
         raise PrimeTooSmall(f"p={p} must exceed the modulus m={m}")
-    A, B, C = int(params.a * m), int(params.b * m), int(params.c * m)
-    u = w = p % m
-    while (-w * C) % m <= max((-w * A) % m, (-w * B) % m):
-        w = w * u % m
-        if w == u:
-            return True
-    return False
+    return bool(_in_s(*_neg_residues(m, _numerators(params), cyclic_powers(p % m, m))).all())
 
 
 def is_union_of_cyclic(rs: ResidueSet) -> bool:
@@ -374,14 +374,17 @@ class DensityRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "DensityRecord":
+        """ValueError for a missing key, or an m, phi or density that contradicts the rest."""
         d = json.loads(text)
+        if not isinstance(d, dict) or not {"a", "b", "c", "m", "B", "phi", "density"} <= d.keys():
+            raise ValueError("a density record is an object with keys a, b, c, m, B, phi, density")
         params = HGParams(Fraction(d["a"]), Fraction(d["b"]), Fraction(d["c"]))
-        return cls(
-            params=params,
-            m=d["m"],
-            B=ResidueSet(modulus=d["m"], members=tuple(d["B"])),
-            density=Fraction(d["density"]),
-        )
+        m, phi = params.m, euler_phi(params.m)
+        B = ResidueSet(modulus=m, members=tuple(d["B"]))
+        if (d["m"], d["phi"], Fraction(d["density"])) != (m, phi, Fraction(len(B), phi)):
+            raise ValueError(f"record of {params} has (m, phi, density) = ({d['m']}, {d['phi']}, "
+                             f"{d['density']}), not ({m}, {phi}, {Fraction(len(B), phi)})")
+        return cls(params=params, m=m, B=B, density=Fraction(len(B), phi))
 
 
 def record(params: HGParams) -> DensityRecord:

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import (HGParams, check_int, check_numerators, check_prime, check_table_size,
-                    mod_order)
+from .arith import (HGParams, check_int, check_numerators, check_prime, check_rational,
+                    check_table_size, mod_order)
 from .errors import HypothesisError, PrimeTooSmall
 
 # the batched valuation oracle holds at most this many (triple, event) cells
@@ -122,6 +122,9 @@ def digits_by_formula(a: Fraction, p: int) -> tuple[int, ...]:
 
 def normalized_digit_limit(a: Fraction, u: int, j: int) -> Fraction:
     """Limit of a_j(p)/p over primes p = u mod den(a): {-u^(M-1-j) a}."""
+    check_rational(a, "a")
+    check_int(u, "u")
+    check_int(j, "j")
     if not (0 < a < 1):
         raise HypothesisError(f"{a} must lie in (0, 1)")
     den = a.denominator

@@ -15,14 +15,21 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import ResidueSet, check_prime, check_table_size
+from .arith import ResidueSet, check_int, check_prime, check_table_size
 from .errors import HypothesisError
 
 
 def legendre(y: int, p: int) -> int:
     """Legendre symbol (y/p) for an odd prime p, by quadratic reciprocity."""
-    if p == 2 or p < 2:
+    check_int(y, "y")
+    check_prime(p)
+    if p == 2:
         raise HypothesisError(f"p={p} must be an odd prime")
+    return _legendre(y, p)
+
+
+def _legendre(y: int, p: int) -> int:
+    """:func:`legendre` for an odd prime p that the caller has checked."""
     a = y % p
     if a == 0:
         return 0
@@ -93,7 +100,7 @@ def least_nonresidue(p: int) -> int:
     if p == 2:
         raise HypothesisError(f"p={p} must be an odd prime")
     n = 2
-    while legendre(n, p) != -1:
+    while _legendre(n, p) != -1:
         n += 1
     return n
 
@@ -134,7 +141,7 @@ def w_count_formula(x: int, p: int) -> int:
         raise HypothesisError(f"x={x} must not be 0 or 1 mod p")
     n = (p - 1) // 2
     h = class_number(p).h
-    num = n + (legendre(x, p) + legendre(1 - x, p) - 1) * h
+    num = n + (_legendre(x, p) + _legendre(1 - x, p) - 1) * h
     q, r = divmod(num, 2)
     assert r == 0, "count formula produced an odd numerator"
     return q
@@ -167,10 +174,10 @@ def legendre_interval_sum(x: int, p: int) -> int:
     if not (1 <= x <= p - 2):
         raise HypothesisError(f"x={x} outside [1, {p - 2}]")
     lhs = sum(
-        legendre(y, p)
+        _legendre(y, p)
         for y in interval_integer_points(u_interval_decomposition(x, p))
     )
-    rhs = (legendre(x + 1, p) - legendre(x, p) - 1) * class_number(p).h
+    rhs = (_legendre(x + 1, p) - _legendre(x, p) - 1) * class_number(p).h
     if lhs != rhs:
         raise RuntimeError(
             f"interval-sum identity failed at x={x}, p={p}: {lhs} != {rhs}"

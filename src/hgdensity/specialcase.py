@@ -12,11 +12,10 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .arith import (TABLE_LIMIT, HGParams, ResidueSet, check_int, check_prime,
                     check_table_size, cyclic_powers, euler_phi, factorize, is_prime, mod_order)
-from .density import bounded_residues, density
+from .density import _in_s, _neg_residues, bounded_residues, density
 from .errors import CaseViolation, HypothesisError, ShapeMismatch
 
 # the pattern sweep evaluates at most this many (row, unit) cells at once,
@@ -202,7 +201,13 @@ def _pattern_table(sp: SpecialPrime, divs: list[int]) -> dict[int, BShape]:
 def _orbit_rows(p: int, step: int):
     """The rows 2 <= s <= t <= (p + 1)/2 and their orbit sizes, ``step`` rows at a time."""
     h = (p + 1) // 2
-    s, t = (v.astype(np.uint16) + 2 for v in np.triu_indices(h - 1))  # uint16: p <= 4097
+    counts = np.arange(h - 1, 0, -1)  # the rows t = s..h of s = 2..h
+    s = np.repeat(np.arange(2, h + 1, dtype=np.uint16), counts)  # uint16: p <= 4097
+    # t steps by 1 within each s, and from h back to the next s by s - h,
+    # which wraps modulo 2^16 in the uint16 cumsum
+    t = np.ones(len(s), dtype=np.uint16)
+    t[0], t[np.cumsum(counts[:-1])] = 2, np.arange(3, h + 1) - h
+    np.cumsum(t, out=t)
     weight = np.where((s == t) | (t == h), np.uint8(4), np.uint8(8))
     weight[-1] = 1  # s = t = h
     for lo in range(0, len(s), step):
@@ -218,9 +223,9 @@ def _pattern_sweep(p: int, powg: np.ndarray, divs: list[int]) -> tuple[np.ndarra
     powg[k] = g^k for a primitive root g, the subgroups of the cyclic unit
     group are H_d = <g^(n/d)> for the divisors d in divs, and z*H_d lies in T
     exactly when T holds at every log k = log z (mod n/d).  So fits[d], of
-    width n/d, is T's row reduced over the d cosets of that class.  Since
-    [-w]_p <= max(a, b) is an OR of two comparisons, each T row is the OR of
-    two rows of one (n, n) comparison table.
+    width n/d, is T's row reduced over the d cosets of that class.  The T
+    row of (s, t) is the pointwise set S of (s/p, t/p; 1/p) over the units
+    g^k in log order, read from one table of [-i g^k]_p for 1 <= i <= h.
 
     The reductions follow the least-prime recursion: with l the least prime
     of d > 1, H_d is l cosets of H_(d/l), so
@@ -278,16 +283,11 @@ def _pattern_sweep(p: int, powg: np.ndarray, divs: list[int]) -> tuple[np.ndarra
     sizes = sum(euler_phi(d) * (pattern >> i & 1) for i, d in enumerate(divs))
     up = [divs.index(d // factorize(d)[0][0]) for d in divs[1:]]  # index of d/l
     dtype = np.min_scalar_type(pattern[-1])  # uint16 for up to 16 divisors
-    log = np.zeros(p, dtype=np.intp)
-    log[powg] = np.arange(n)
-    # le[e, k] = [[-g^k]_p <= [g^(e+k)]_p], so with w = g^k the condition
-    # [-w]_p <= [-wt]_p is row log(-t), and -1 = g^(n/2)
-    shifted = sliding_window_view(np.concatenate([powg, powg[:-1]]), n)
-    le = shifted[n // 2] <= shifted
+    res = _neg_residues(p, np.arange(1, (p + 1) // 2 + 1), powg)  # res[i - 1, k] = [-i g^k]_p
     counts = np.zeros(len(pattern), dtype=np.int64)
     best_size, best_key = -1, 0
     for s, t, weight in _orbit_rows(p, max(1, _SWEEP_CELLS // n)):
-        fits = [le[log[p - s]] | le[log[p - t]]]
+        fits = [_in_s(res[s - 1], res[t - 1], res[0])]
         for d, i in zip(divs[1:], up):
             fits.append(fits[i].reshape(-1, d // divs[i], n // d).all(axis=1))
         pats = [f * dtype.type(1 << i) for i, f in enumerate(fits)]
@@ -327,9 +327,10 @@ def sweep_special(sp: SpecialPrime) -> SweepResult:
     chunk of rows of at most ``_SWEEP_CELLS`` cells.  The counts are mapped
     to shapes through a table built once from the subgroup orders of
     enumerate_b_shapes; a pattern that matches no shape, or a total other
-    than (p - 2)^2 (p - 1), raises ShapeMismatch.  The sweep holds
-    (p - 1)^2 comparison cells, so p - 1 above the square root of
-    ``TABLE_LIMIT`` is refused with ValueError before anything is built.
+    than (p - 2)^2 (p - 1), raises ShapeMismatch.  The sweep's residue table
+    holds (p + 1)/2 x (p - 1) uint16 cells, the bytes of (p - 1)^2 bool
+    cells, so (p - 1)^2 above ``TABLE_LIMIT`` is refused with ValueError
+    before anything is built.
     """
     p = sp.p
     n = p - 1

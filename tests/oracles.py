@@ -38,10 +38,14 @@ def brute_frac(q: Fraction) -> Fraction:
     return q - floor(q)
 
 
+def brute_in_s(a, b, c, v: int) -> bool:
+    """v lies in the pointwise set S of (a, b; c): {-v c} <= max({-v a}, {-v b})."""
+    return brute_frac(-v * c) <= max(brute_frac(-v * a), brute_frac(-v * b))
+
+
 def brute_bounded_set(a, b, c) -> set[int]:
     """B(a,b;c) straight from the definition with exact fractional parts:
-    units u mod m such that every power v = u^j satisfies
-    {-v c} <= max({-v a}, {-v b})."""
+    units u mod m such that every power v = u^j lies in S."""
     from math import lcm
 
     m = lcm(a.denominator, b.denominator, c.denominator)
@@ -52,7 +56,7 @@ def brute_bounded_set(a, b, c) -> set[int]:
         v = u
         ok = True
         while True:
-            if brute_frac(-v * c) > max(brute_frac(-v * a), brute_frac(-v * b)):
+            if not brute_in_s(a, b, c, v):
                 ok = False
                 break
             v = v * u % m

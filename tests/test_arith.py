@@ -28,7 +28,7 @@ from hgdensity.arith import (
     unit_mask,
     units_mod,
 )
-from hgdensity.density import bounded_prime_test
+from hgdensity.density import bounded_prime_test, pointwise_condition
 from hgdensity.errors import IntegralParameter, NotAUnit
 
 from oracles import sieve_primes
@@ -277,6 +277,28 @@ def test_primes_and_horizons_must_be_ints(call):
     # a float once compared fine, then failed deep inside with a TypeError
     # or AttributeError, or answered as if it were the int it equals
     with pytest.raises(ValueError, match="must be an int, got"):
+        call()
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: pointwise_condition(_THIRDS, 1.0), "v must be an int"),
+    (lambda: pointwise_condition(_THIRDS, True), "v must be an int"),
+    (lambda: padic.normalized_digit_limit(Fraction(1, 3), 2.0, 0), "u must be an int"),
+    (lambda: padic.normalized_digit_limit(Fraction(1, 3), 2, 0.5), "j must be an int"),
+    (lambda: padic.normalized_digit_limit(Fraction(1, 3), True, 0), "u must be an int"),
+    (lambda: padic.normalized_digit_limit(Fraction(1, 3), 2, True), "j must be an int"),
+    (lambda: padic.normalized_digit_limit(0.25, 3, 0), "an int or a Fraction"),
+    (lambda: quadratic.legendre(1.5, 7), "y must be an int"),
+    (lambda: quadratic.legendre(2, 7.0), "p must be an int"),
+    (lambda: quadratic.legendre(5, 9), "p=9 is not prime"),
+], ids=["pointwise-float", "pointwise-bool", "digit_limit-u", "digit_limit-j",
+        "digit_limit-u-bool", "digit_limit-j-bool", "digit_limit-a", "legendre-y",
+        "legendre-p", "legendre-composite"])
+def test_scalar_arguments_are_checked_at_the_library_boundary(call, error):
+    # each once raised TypeError or AttributeError deep inside, or answered:
+    # True as 1, 1.5 and 7.0 as the ints near them, and (5/9) as the Jacobi
+    # symbol 1, though 5 is no square mod 9
+    with pytest.raises(ValueError, match=error):
         call()
 
 

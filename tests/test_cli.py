@@ -277,7 +277,7 @@ def test_huge_inputs_are_refused_before_allocating(capsys, argv):
         assert "(p - 1)/2 is factored by trial division" in err
         assert "residue tables" not in err
     if argv == ["special", "39367", "--max-density"]:
-        assert "(p - 1)^2" in err  # the sweep's comparison table
+        assert "(p - 1)^2" in err  # the sweep's residue table, the bytes of (p - 1)^2 bools
     assert peak < 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
 

@@ -13,6 +13,8 @@ from hgdensity.density import (
     DensityRecord,
     DivisorAntichain,
     _cycle_walk,
+    _in_s,
+    _neg_residues,
     bounded_count,
     bounded_counts,
     bounded_members,
@@ -25,13 +27,13 @@ from hgdensity.density import (
     subgroup_union_size,
     zero_density_criterion,
 )
-from hgdensity.arith import ResidueSet, mod_order, units_mod
+from hgdensity.arith import ResidueSet, check_int_array, mod_order, unit_mask, units_mod
 from hgdensity.errors import HypothesisError, PrimeTooSmall
 from hgdensity.padic import empirical_bounded_batch
 from hgdensity.quadratic import quadratic_residues
 from hgdensity import verify
 
-from oracles import brute_bounded_set
+from oracles import brute_bounded_set, brute_in_s
 
 
 def params(a, b, c):
@@ -200,6 +202,17 @@ def test_density_record_json_schema_round_trip():
     assert back == rec
 
 
+def test_density_record_refuses_records_that_contradict_themselves():
+    # B = [1] and phi(3) = 2 fix the density at 1/2
+    good = json.loads(record(params("1/3", "1/3", "2/3")).to_json())
+    for text in ("{}", "[]", json.dumps({k: v for k, v in good.items() if k != "phi"})):
+        with pytest.raises(ValueError, match="with keys"):
+            DensityRecord.from_json(text)
+    for key, value in (("density", "1/7"), ("m", 4), ("phi", 3)):
+        with pytest.raises(ValueError, match=r"not \(3, 2, 1/2\)"):
+            DensityRecord.from_json(json.dumps(dict(good, **{key: value})))
+
+
 def test_digit_residue_equivalence_small_moduli():
     # the full m <= 30, p < 500 run is an acceptance test; spot it here
     for m in (3, 5, 8, 12):
@@ -208,6 +221,28 @@ def test_digit_residue_equivalence_small_moduli():
 
 def _batch(m):
     return np.array(list(verify.params_with_modulus(m)), dtype=np.int64).T
+
+
+@pytest.mark.parametrize("m", [65521, 65537, 491111])
+def test_pointwise_set_matches_the_fraction_definition(m):
+    # every path reads S from _neg_residues, so the pins of one kernel to
+    # another cannot see a fault in S; here it meets the definition with
+    # exact fractional parts.  65521 forms its products in uint32 close to
+    # 2^32 and 65537 in int64; the tables of all units span 3 blocks of
+    # _KERNEL_CELLS at 65537 and 24 at 491111, the largest modulus of the
+    # benchmark's query pool
+    rng = random.Random(m)
+    units = np.flatnonzero(unit_mask(m))
+    triples = [(m - 1, 1, m - 2), (1, m - 2, m - 1)]
+    while len(triples) < 6:
+        t = tuple(rng.sample(range(1, m), 3))
+        if math.gcd(*t, m) == 1:
+            triples.append(t)
+    for X in triples:
+        S = _in_s(*_neg_residues(m, X, units))
+        a, b, c = (Fraction(x, m) for x in X)
+        for k in [0, len(units) - 1] + rng.sample(range(len(units)), 200):
+            assert S[k] == brute_in_s(a, b, c, int(units[k])), (m, X, int(units[k]))
 
 
 def test_bounded_counts_match_closure_walk():
@@ -425,3 +460,16 @@ def test_batched_kernels_refuse_non_integer_numerators(kernel):
         for triple in ((bad, [1], [5]), ([1], bad, [5]), ([1], [5], bad)):
             with pytest.raises(ValueError, match="must be integers"):
                 kernel(*triple)
+
+
+def test_batched_kernels_refuse_a_bool_among_ints():
+    # numpy reads [1, True] as two int64 ones, so each once answered for (1, 1)
+    for call in (
+        lambda: bounded_members(6, [1], [1], [5], [1, True]),
+        lambda: bounded_counts(6, [1, True], [1, 1], [5, 5]),
+        lambda: empirical_bounded_batch(6, [1, True], [1, 1], [5, 5], 7, 49),
+    ):
+        with pytest.raises(ValueError, match="must be integers within int64, not floats or bools"):
+            call()
+    X = np.array([1, 5], dtype=np.int64)
+    assert check_int_array(X, "X") is X  # an int64 array passes without a copy

@@ -357,6 +357,21 @@ def test_pattern_kernel_blocks_are_invisible(monkeypatch, p):
     assert outs[0] == outs[1] == outs[2] == outs[3]
 
 
+def test_orbit_rows_at_the_largest_prime_stay_small():
+    # 2,094,081 rows at p = 4093 hold 9.99 MiB as uint16 pairs and uint8
+    # weights; built through int64 index arrays they once peaked at 43.94 MiB
+    tracemalloc.start()
+    try:
+        s, t, weight = next(specialcase._orbit_rows(4093, 1 << 30))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(s) == 2046 * 2047 // 2 and s.dtype == t.dtype == np.uint16
+    assert s[:3].tolist() == [2, 2, 2] and s[2047] == 3
+    assert t[:3].tolist() == [2, 3, 4] and t[2045:2048].tolist() == [2047, 3, 4]
+    assert peak < 20 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+
+
 @pytest.mark.parametrize("p", [p for p in range(5, 60) if is_prime(p)])
 def test_orbit_rows_meet_every_orbit_once(p):
     # the group {s <-> t, s -> 1 - s, t -> 1 - t} on (F_p minus {0, 1})^2,
@@ -387,8 +402,9 @@ def test_orbit_rows_meet_every_orbit_once(p):
 
 def test_cell_budget_bounds_the_sweep_memory(monkeypatch):
     # 2^12 cells are 8 rows of 486 units at p = 487, so each chunk's
-    # temporaries are a few KiB and the peak is the (p - 1)^2 comparison
-    # table and the row list; a chunk of the 243 rows of s = 2 reads 1.62 MiB
+    # temporaries are a few KiB and the peak is the 244 x 486 residue table,
+    # its blocks of products and the row list; a chunk of the 243 rows of
+    # s = 2 reads 1.62 MiB
     p = 487
     powg, divs = specialcase._lattice(p)
     monkeypatch.setattr(specialcase, "_SWEEP_CELLS", 1 << 12)

@@ -261,10 +261,8 @@ def check_rational(value, name: str) -> None:
 def check_int_array(values, name: str) -> np.ndarray:
     """values as an int64 array, not copied when it is one already.
 
-    ValueError unless every entry is an integer within int64: a cast would
-    truncate a float and read a bool as 1.  An empty list comes in as
-    float64, and numpy reads [1, True] as ints, so a sequence is searched
-    for bools element by element.
+    ValueError for a float or bool entry, which a cast would truncate or read
+    as 1; numpy reads [1, True] as ints, so a sequence is searched for bools.
     """
     v = np.asarray(values)
     if (v.size and v.dtype.kind not in "iu") or not isinstance(values, np.ndarray) and any(

@@ -21,11 +21,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import (HGParams, ResidueSet, check_int, check_int_array, check_numerators,
-                    check_prime, cyclic_powers, euler_phi, factorize, unit_mask, units_mod)
+                    check_prime, check_table_size, cyclic_powers, euler_phi, factorize,
+                    unit_mask, units_mod)
 from .errors import HypothesisError, PrimeTooSmall
 
-# the subgroup kernel evaluates, and residue tables form, at most this many
-# cells at once, which bounds their temporaries to a few arrays of this size
+# the subgroup kernel evaluates at most this many cells at once, and residue
+# tables form about this many, which bounds their temporaries to a few arrays
 _KERNEL_CELLS = 1 << 16
 
 # the single-triple walk's bulk power filter steps its candidates while at
@@ -40,29 +41,31 @@ def _numerators(params: HGParams) -> tuple[int, int, int]:
     return tuple(int(v * params.m) for v in (params.a, params.b, params.c))
 
 
-def _neg_residues(m: int, X, units) -> np.ndarray:
-    """``out[i, k] = [-units[k] X[i]]_m``, the rows every pointwise set S is read from.
+def _neg_residue(m: int, X, u):
+    """[-u X]_m for 0 < X < m, exact on Python ints and elementwise on arrays."""
+    w = (m - X) * u
+    w -= w // m * m  # faster than % m on an array
+    return w
 
-    For X in [1, m - 1] and units in [0, m - 1] the products u (m - X) fit
-    uint32 below m = 2^16 and int64 above (``unit_mask`` refuses m > 2^24).
-    w -= w // m * m, faster than % m, reduces them ``_KERNEL_CELLS`` at a time.
+
+def _neg_residues(m: int, X, units) -> np.ndarray:
+    """``out[i, k] = [-units[k] X[i]]_m``, formed about ``_KERNEL_CELLS`` products at a time.
+
+    The products fit uint32 below m = 2^16 and int64 above, as every caller
+    has refused m > ``TABLE_LIMIT`` = 2^24.
     """
     wide = np.uint32 if m < 1 << 16 else np.int64
-    neg, units = m - np.asarray(X, dtype=wide), np.asarray(units, dtype=wide)
-    out = np.empty((len(neg), len(units)), dtype=np.min_scalar_type(m - 1))
-    cols = max(1, min(len(units), _KERNEL_CELLS))
-    rows = max(1, _KERNEL_CELLS // cols)
+    X, units = np.asarray(X, dtype=wide)[:, None], np.asarray(units, dtype=wide)
+    out = np.empty((len(X), len(units)), dtype=np.min_scalar_type(m - 1))
+    cols = max(1, _KERNEL_CELLS // len(X))
     for j in range(0, len(units), cols):
-        for i in range(0, len(neg), rows):
-            w = np.multiply.outer(neg[i : i + rows], units[j : j + cols])
-            w -= w // m * m
-            out[i : i + rows, j : j + cols] = w
+        out[:, j : j + cols] = _neg_residue(m, X, units[j : j + cols])
     return out
 
 
 def _in_s(a, b, c):
-    """S from the residue rows a, b, c of A, B, C: [-uC]_m <= max([-uA]_m, [-uB]_m)."""
-    return c <= np.maximum(a, b)
+    """S from the residues a, b, c of A, B, C: [-uC]_m <= max([-uA]_m, [-uB]_m)."""
+    return (c <= a) | (c <= b)
 
 
 def pointwise_condition(params: HGParams, v: int) -> bool:
@@ -75,7 +78,7 @@ def pointwise_condition(params: HGParams, v: int) -> bool:
     m = params.m
     if math.gcd(v, m) != 1:
         raise HypothesisError(f"v={v} is not a unit mod {m}")
-    return bool(_in_s(*_neg_residues(m, _numerators(params), [v % m])[:, 0]))
+    return _in_s(*(_neg_residue(m, X, v) for X in _numerators(params)))
 
 
 def _cycle_walk(m: int, A: int, B: int, C: int) -> list[int]:
@@ -239,11 +242,8 @@ def _subgroup_chunks(m: int, A, B, C):
     for lo in range(0, len(C), rows):
         sl = slice(lo, lo + rows)
         vals, idx = np.unique(np.concatenate((A[sl], B[sl], C[sl])), return_inverse=True)
-        a, b, c = np.split(_neg_residues(m, vals, plan.units)[idx], 3)
-        S = np.ascontiguousarray(_in_s(a, b, c).T)
-        # free the gathered rows before the next chunk gathers its own: two
-        # live at once outgrow malloc's trim threshold and fault in fresh pages
-        del a, b, c
+        # the gathered rows die with the call, before the next chunk gathers
+        S = np.ascontiguousarray(_in_s(*np.split(_neg_residues(m, vals, plan.units)[idx], 3)).T)
         ok = np.concatenate([
             S[start : start + count * size].reshape(count, size, -1).all(axis=1)
             for start, count, size in plan.classes
@@ -294,14 +294,20 @@ def bounded_prime_test(params: HGParams, p: int) -> bool:
     """True iff p (> m, prime) lies in a bounded residue class mod m.
 
     The class u = p mod m is bounded when every power of u satisfies the
-    pointwise condition, so S is read over <u> only: O(ord(u)) cells, not
-    all of B.
+    pointwise condition, so only <u> is walked, up to its first power
+    outside S: O(ord(u)) steps, not all of B.
     """
     check_prime(p)
     m = params.m
     if p <= m:
         raise PrimeTooSmall(f"p={p} must exceed the modulus m={m}")
-    return bool(_in_s(*_neg_residues(m, _numerators(params), cyclic_powers(p % m, m))).all())
+    nums = _numerators(params)
+    u = w = p % m
+    while _in_s(*(_neg_residue(m, X, w) for X in nums)):
+        w = w * u % m
+        if w == u:
+            return True
+    return False
 
 
 def is_union_of_cyclic(rs: ResidueSet) -> bool:
@@ -374,11 +380,12 @@ class DensityRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "DensityRecord":
-        """ValueError for a missing key, or an m, phi or density that contradicts the rest."""
+        """ValueError for a missing key, m > ``TABLE_LIMIT``, or a wrong m, phi or density."""
         d = json.loads(text)
         if not isinstance(d, dict) or not {"a", "b", "c", "m", "B", "phi", "density"} <= d.keys():
             raise ValueError("a density record is an object with keys a, b, c, m, B, phi, density")
         params = HGParams(Fraction(d["a"]), Fraction(d["b"]), Fraction(d["c"]))
+        check_table_size(params.m, "modulus m")  # before phi(m) factors it
         m, phi = params.m, euler_phi(params.m)
         B = ResidueSet(modulus=m, members=tuple(d["B"]))
         if (d["m"], d["phi"], Fraction(d["density"])) != (m, phi, Fraction(len(B), phi)):

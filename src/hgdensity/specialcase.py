@@ -201,13 +201,8 @@ def _pattern_table(sp: SpecialPrime, divs: list[int]) -> dict[int, BShape]:
 def _orbit_rows(p: int, step: int):
     """The rows 2 <= s <= t <= (p + 1)/2 and their orbit sizes, ``step`` rows at a time."""
     h = (p + 1) // 2
-    counts = np.arange(h - 1, 0, -1)  # the rows t = s..h of s = 2..h
-    s = np.repeat(np.arange(2, h + 1, dtype=np.uint16), counts)  # uint16: p <= 4097
-    # t steps by 1 within each s, and from h back to the next s by s - h,
-    # which wraps modulo 2^16 in the uint16 cumsum
-    t = np.ones(len(s), dtype=np.uint16)
-    t[0], t[np.cumsum(counts[:-1])] = 2, np.arange(3, h + 1) - h
-    np.cumsum(t, out=t)
+    t = np.concatenate([np.arange(s, h + 1, dtype=np.uint16) for s in range(2, h + 1)])
+    s = np.repeat(np.arange(2, h + 1, dtype=np.uint16), np.arange(h - 1, 0, -1))  # p <= 4097
     weight = np.where((s == t) | (t == h), np.uint8(4), np.uint8(8))
     weight[-1] = 1  # s = t = h
     for lo in range(0, len(s), step):

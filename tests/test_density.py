@@ -27,7 +27,8 @@ from hgdensity.density import (
     subgroup_union_size,
     zero_density_criterion,
 )
-from hgdensity.arith import ResidueSet, check_int_array, mod_order, unit_mask, units_mod
+from hgdensity.arith import (ResidueSet, check_int_array, is_prime, mod_order, unit_mask,
+                             units_mod)
 from hgdensity.errors import HypothesisError, PrimeTooSmall
 from hgdensity.padic import empirical_bounded_batch
 from hgdensity.quadratic import quadratic_residues
@@ -111,6 +112,27 @@ def test_bounded_prime_test_matches_bounded_residues():
             for p in primes:
                 if p > m:
                     assert bounded_prime_test(pr, p) == ((p % m) in B), (X, Y, Z, m, p)
+
+
+def test_scalar_paths_stay_exact_far_beyond_the_table_limit():
+    # m = 100003 * 100019 * 100043 ~ 1.0e15, whose products u (m - X) reach
+    # 1e30, far past int64; no table is built, so the scalar paths take it
+    pr = params("1/100003", "3/100019", "2/100043")
+    m, rng = pr.m, random.Random(23)
+    units = [1, m - 1] + [v for v in (rng.randrange(m) for _ in range(60)) if math.gcd(v, m) == 1]
+    for v in units:
+        assert pointwise_condition(pr, v) == brute_in_s(pr.a, pr.b, pr.c, v), v
+    for u in units[:12]:
+        p = next(k * m + u for k in range(1, 10**4) if is_prime(k * m + u))
+        w = u  # walk <u> with the definition until it leaves S or closes
+        for _ in range(10**4):
+            if not brute_in_s(pr.a, pr.b, pr.c, w) or w * u % m == u:
+                break
+            w = w * u % m
+        else:
+            pytest.fail(f"<{u}> is too long to walk here")
+        assert bounded_prime_test(pr, p) == brute_in_s(pr.a, pr.b, pr.c, w), u
+    assert bounded_prime_test(pr, next(k * m - 1 for k in range(2, 10**4) if is_prime(k * m - 1)))
 
 
 def test_is_union_of_cyclic_examples():
@@ -211,6 +233,9 @@ def test_density_record_refuses_records_that_contradict_themselves():
     for key, value in (("density", "1/7"), ("m", 4), ("phi", 3)):
         with pytest.raises(ValueError, match=r"not \(3, 2, 1/2\)"):
             DensityRecord.from_json(json.dumps(dict(good, **{key: value})))
+    # m = 100003 * 100019 * 100043 is refused before phi(m) factors it
+    with pytest.raises(ValueError, match="too large"):
+        DensityRecord.from_json(json.dumps(dict(good, a="1/100003", b="1/100019", c="2/100043")))
 
 
 def test_digit_residue_equivalence_small_moduli():
@@ -225,11 +250,11 @@ def _batch(m):
 
 @pytest.mark.parametrize("m", [65521, 65537, 491111])
 def test_pointwise_set_matches_the_fraction_definition(m):
-    # every path reads S from _neg_residues, so the pins of one kernel to
-    # another cannot see a fault in S; here it meets the definition with
-    # exact fractional parts.  65521 forms its products in uint32 close to
-    # 2^32 and 65537 in int64; the tables of all units span 3 blocks of
-    # _KERNEL_CELLS at 65537 and 24 at 491111, the largest modulus of the
+    # every path forms S with _neg_residue and _in_s, so the pins of one
+    # kernel to another cannot see a fault in S; here it meets the definition
+    # with exact fractional parts.  65521 forms its products in uint32 close
+    # to 2^32 and 65537 in int64; the tables of all units are formed in 4
+    # blocks at 65537 and 22 at 491111, the largest modulus of the
     # benchmark's query pool
     rng = random.Random(m)
     units = np.flatnonzero(unit_mask(m))

@@ -38,7 +38,8 @@ _FILTER_CUT = 32
 
 def _numerators(params: HGParams) -> tuple[int, int, int]:
     """(A, B, C) with params = (A/m, B/m; C/m) at m = ``params.m``."""
-    return tuple(int(v * params.m) for v in (params.a, params.b, params.c))
+    m = params.m  # a property that takes an lcm
+    return int(params.a * m), int(params.b * m), int(params.c * m)
 
 
 def _neg_residue(m: int, X, u):
@@ -78,7 +79,8 @@ def pointwise_condition(params: HGParams, v: int) -> bool:
     m = params.m
     if math.gcd(v, m) != 1:
         raise HypothesisError(f"v={v} is not a unit mod {m}")
-    return _in_s(*(_neg_residue(m, X, v) for X in _numerators(params)))
+    A, B, C = _numerators(params)
+    return _in_s(_neg_residue(m, A, v), _neg_residue(m, B, v), _neg_residue(m, C, v))
 
 
 def _cycle_walk(m: int, A: int, B: int, C: int) -> list[int]:
@@ -301,9 +303,9 @@ def bounded_prime_test(params: HGParams, p: int) -> bool:
     m = params.m
     if p <= m:
         raise PrimeTooSmall(f"p={p} must exceed the modulus m={m}")
-    nums = _numerators(params)
+    A, B, C = _numerators(params)
     u = w = p % m
-    while _in_s(*(_neg_residue(m, X, w) for X in nums)):
+    while _in_s(_neg_residue(m, A, w), _neg_residue(m, B, w), _neg_residue(m, C, w)):
         w = w * u % m
         if w == u:
             return True

@@ -237,10 +237,15 @@ def _descents(vals: np.ndarray, before: np.ndarray):
     plateau.  ``before`` holds, per row, the largest valuation <= -1 met
     before the first one of ``vals`` (the dtype's minimum if none).
     Returns the mask of descents and that largest valuation after the last.
+    The running maximum includes each value itself: a value <= -1 is never
+    below itself, and one >= 0 is above every value <= -1.
     """
-    neg = np.where(vals <= -1, vals, np.iinfo(vals.dtype).min)
-    best = np.maximum.accumulate(np.concatenate((before[..., None], neg), axis=-1), axis=-1)
-    return vals < best[..., :-1], best[..., -1]
+    best = np.where(vals <= -1, vals, np.iinfo(vals.dtype).min)
+    if not best.shape[-1]:
+        return vals < best, before
+    best[..., 0] = np.maximum(best[..., 0], before)
+    best = np.maximum.accumulate(best, axis=-1)
+    return vals < best, best[..., -1]
 
 
 def empirical_bounded(params: HGParams, p: int, N: int) -> BoundednessVerdict:
@@ -300,6 +305,20 @@ def _class_valuations(m: int, p: int, N: int, cols: int) -> np.ndarray:
     return table
 
 
+def _first_two_of_runs(ok: np.ndarray) -> np.ndarray:
+    """Positions of a bool (rows, n) array that a run-skipping pass keeps.
+
+    Kept are positions 0 and 1, every false position, and the first two of
+    each run of true ones; a row's positions come in increasing order, padded
+    with n up to the widest row.
+    """
+    n = ok.shape[1]
+    ok = np.concatenate((np.zeros((len(ok), 2), dtype=bool), ok), axis=1)
+    keep = ~(ok[:, 2:] & ok[:, 1:-1] & ok[:, :-2])
+    sel = np.sort(np.where(keep, np.arange(n), n), axis=1)
+    return sel[:, :np.count_nonzero(keep, axis=1).max()]
+
+
 def empirical_bounded_batch(m: int, X, Y, Z, p: int, N: int) -> np.ndarray:
     """:func:`empirical_bounded` for every triple (X[t]/m, Y[t]/m; Z[t]/m).
 
@@ -315,26 +334,40 @@ def empirical_bounded_batch(m: int, X, Y, Z, p: int, N: int) -> np.ndarray:
     are evaluated once.
 
     Only the super-blocks (p consecutive blocks) that can change a verdict
-    are evaluated.  A super-block is regular for a row when its p table
-    entries all lie in {1, 2}: every k < N and no v_p >= 3.  p^2 divides
-    t + k m on one class of the block index mod p, so all regular
-    super-blocks of a row are equal, and one regular for all four rows of a
-    triple repeats the triple's events.  Those sum to zero (the weights
-    1, 1, -1, -1 do), so each copy in a run of regular super-blocks starts
-    from the level the run started from; the second copy meets every
-    valuation the first did, so it leaves the negative maximum where it
-    found it, and every later copy finds the descents the second found.
-    Each triple therefore keeps its irregular super-blocks and the first two
-    of each regular run.  Rows of kept super-blocks are padded with an
-    all-zero super-block, whose events repeat the last valuation and so are
-    descents only after one.  At N = p^3 each row has one irregular
-    super-block, and a triple keeps at most 14 of the p.
+    are evaluated, and in them only such blocks.  A super-block is regular
+    for a row when its p table entries all lie in {1, 2}: every k < N and
+    no v_p >= 3.  p^2 divides t + k m on one class of the block index mod p,
+    so all regular super-blocks of a row are equal, and one regular for all
+    four rows of a triple repeats the triple's events.  Those sum to zero
+    (the weights 1, 1, -1, -1 do), so each copy in a run of regular
+    super-blocks starts from the level the run started from; the second copy
+    meets every valuation the first did, so it leaves the negative maximum
+    where it found it, and every later copy finds the descents the second
+    found.  Each triple therefore keeps its irregular super-blocks and the
+    first two of each regular run (:func:`_first_two_of_runs`).
+    Rows of kept super-blocks are padded with an all-zero super-block, whose
+    events repeat the last valuation and so are descents only after one.
+
+    The same argument applies one level down.  A block is plain for a row
+    when its entry is 1 in every super-block: no v_p >= 2 and k < N
+    throughout.  The events of a block plain for all four rows of a triple
+    are the triple's weights in class order, the same in every plain block,
+    and they sum to zero; so in each kept super-block the triple keeps
+    blocks 0 and 1, its non-plain blocks and the first two of each plain
+    run.  Blocks that pad a triple's selection get weight 0, so they too
+    repeat the last valuation.  Row t has its entries >= 2 in one block,
+    j = (k2 - k0) / p mod p with k0 and k2 the least k of its class mod p
+    and p^2, and in the same block of every super-block; a v_p >= 3 entry is
+    one of them.  So at N = p^3 each row has one irregular super-block and
+    one non-plain block, and a triple keeps at most 14 of the p super-blocks
+    and at most 14 of the p blocks in each.
 
     One table covers every super-block, plus the padding one; a horizon
     whose table would exceed ``arith.TABLE_LIMIT`` entries is refused with
     ValueError before anything is built, as every residue table is.
-    Triples go in chunks of at most ``_ORACLE_CELLS`` cells.  Returns a bool
-    array, true where the verdict is BOUNDED.
+    Triples go in chunks of at most ``_ORACLE_CELLS`` cells, or one triple
+    where one needs more.  Returns a bool array, true where the verdict is
+    BOUNDED.
     """
     check_int(N, "N")
     if N < 1:
@@ -360,23 +393,32 @@ def empirical_bounded_batch(m: int, X, Y, Z, p: int, N: int) -> np.ndarray:
         weights[same, i + 1] += weights[same, i]
         weights[same, i] = 0
     # super-block `supers` lies past N, so it is all 0
-    table = _class_valuations(m, p, N, (supers + 1) * p).reshape(m + 1, supers + 1, p)
-    regular = ((table[:, :supers] >= 1) & (table[:, :supers] <= 2)).all(axis=2)
+    table = _class_valuations(m, p, N, (supers + 1) * p)
+    grid = table.reshape(m + 1, supers + 1, p)[:, :supers]
+    regular = ((grid >= 1) & (grid <= 2)).all(axis=2)
+    plain = (grid == 1).all(axis=1)
     # with at most i irregular super-blocks per row, a triple has at most
-    # 4 i and keeps at most 3 (4 i) + 2: chunks are sized for that width
+    # 4 i and keeps at most 3 (4 i) + 2, and likewise for non-plain blocks:
+    # chunks are sized for those widths
     irregular = supers - np.count_nonzero(regular[1:], axis=1).min()
-    rows = max(1, _ORACLE_CELLS // (4 * p * min(supers, 12 * irregular + 2)))
-    regular = np.concatenate((np.zeros((m + 1, 2), dtype=bool), regular), axis=1)
+    nonplain = p - np.count_nonzero(plain[1:], axis=1).min()
+    width = 4 * min(supers, 12 * irregular + 2) * min(p, 12 * nonplain + 2)
+    rows = max(1, _ORACLE_CELLS // width)
+    table = table.ravel()
     unbounded = np.zeros(len(key), dtype=bool)
     for r0 in range(0, len(key), rows):
         sl = slice(r0, r0 + rows)
-        ok = regular[nums[sl]].all(axis=1)
-        keep = ~(ok[:, 2:] & ok[:, 1:-1] & ok[:, :-2])
-        sel = np.sort(np.where(keep, np.arange(supers), supers), axis=1)
-        sel = sel[:, :np.count_nonzero(keep, axis=1).max()]
-        events = table[nums[sl, :, None], sel[:, None]] * weights[sl, :, None, None]
-        events = events.transpose(0, 2, 3, 1).reshape(len(sel), -1)
-        vals = np.cumsum(events, axis=1, dtype=np.int8)
+        sel = _first_two_of_runs(regular[nums[sl]].all(axis=1))
+        blk = _first_two_of_runs(plain[nums[sl]].all(axis=1))
+        # one flat index in (super-block, block, row) order, built as
+        # super-block offsets plus (block, row) offsets so that the inner
+        # loops run over whole super-blocks; a padding block (blk == p)
+        # reads block p - 1 with weight 0
+        inner = nums[sl, None, :] * ((supers + 1) * p) + np.minimum(blk, p - 1)[:, :, None]
+        at = (sel * p)[:, :, None] + inner.reshape(len(sel), 1, -1)
+        w = weights[sl, None, :] * (blk < p)[:, :, None]
+        events = table.take(at) * w.reshape(len(sel), 1, -1)
+        vals = np.cumsum(events.reshape(len(sel), -1), axis=1, dtype=np.int8)
         floor = np.full(len(sel), np.iinfo(np.int8).min, dtype=np.int8)
         unbounded[sl] = _descents(vals, floor)[0].any(axis=1)
     return ~unbounded[inverse]

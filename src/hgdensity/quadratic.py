@@ -107,6 +107,7 @@ def least_nonresidue(p: int) -> int:
 
 def _products(x: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """y = 1, ..., p-1 and [xy]_p, for a prime p and x not 0 mod p."""
+    check_int(x, "x")
     check_prime(p)
     check_table_size(p, "p")
     if x % p == 0:
@@ -136,6 +137,7 @@ def w_set(x: int, p: int) -> ResidueSet:
 
 def w_count_formula(x: int, p: int) -> int:
     """Closed form |W_p(x)| = (n + (chi(x) + chi(1-x) - 1) h_p) / 2, n=(p-1)/2."""
+    check_int(x, "x")
     _check_3_mod_4(p)
     if x % p in (0, 1):
         raise HypothesisError(f"x={x} must not be 0 or 1 mod p")
@@ -150,6 +152,8 @@ def w_count_formula(x: int, p: int) -> int:
 def u_interval_decomposition(x: int, p: int) -> list[tuple[Fraction, Fraction]]:
     """The x disjoint open intervals (ap/(x+1), ap/x) whose integer points
     make up U_p(-x), for 1 <= x <= p-2."""
+    check_int(x, "x")
+    check_int(p, "p")
     if not (1 <= x <= p - 2):
         raise HypothesisError(f"x={x} outside [1, {p - 2}]")
     return [(Fraction(a * p, x + 1), Fraction(a * p, x)) for a in range(1, x + 1)]
@@ -170,6 +174,7 @@ def legendre_interval_sum(x: int, p: int) -> int:
 
     Both sides are computed and checked against each other before returning.
     """
+    check_int(x, "x")
     _check_3_mod_4(p)
     if not (1 <= x <= p - 2):
         raise HypothesisError(f"x={x} outside [1, {p - 2}]")
@@ -187,6 +192,7 @@ def legendre_interval_sum(x: int, p: int) -> int:
 
 def multiples_in_u(y: int, x: int, p: int) -> list[int]:
     """The multiples y, 2y, ..., floor(p/y)*y, all of which stay in U_p(x)."""
+    check_int(y, "y")
     U = set(u_set(x, p))
     if y not in U:
         raise HypothesisError(f"y={y} is not in U_{p}({x})")
@@ -198,6 +204,8 @@ def multiples_in_u(y: int, x: int, p: int) -> list[int]:
 
 def w_intersection_nonempty(u: int, v: int, p: int) -> tuple[bool, int | None]:
     """Whether W_p(u) n W_p(v) is nonempty, with the least witness if so."""
+    check_int(u, "u")
+    check_int(v, "v")
     y, uy = _products(u, p)
     _, vy = _products(v, p)
     common = y[(uy < y) & (vy < y) & _residue_mask(p)[1:]][:1].tolist()

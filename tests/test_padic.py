@@ -17,6 +17,7 @@ from hgdensity.padic import (
     Verdict,
     _class_valuations,
     _descents,
+    _first_two_of_runs,
     coefficient_valuations,
     digit_bounded,
     digits_by_formula,
@@ -261,7 +262,8 @@ def test_batched_oracle_flips_at_the_first_descent():
 
 def test_batched_oracle_chunking_is_invisible(monkeypatch):
     # 7 and 100 cells both give one triple per chunk at these p, since a
-    # chunk is sized for 4 p cells per super-block a triple may keep; the
+    # chunk is sized for 4 cells per block a triple may keep, in every
+    # super-block it may keep; the
     # default cap, which computes `whole`, puts many triples in a chunk, with
     # a shorter last one at m = 8 and N = p^3
     kernel = sys.modules["hgdensity.padic"]
@@ -287,6 +289,79 @@ def test_super_blocks_at_the_sweep_horizon(m, p):
     for row, ok in zip(table, regular):
         assert (row[ok] == row[ok][0]).all()
         assert np.count_nonzero(row[ok][0] == 2) == 1
+
+
+@pytest.mark.parametrize("m, p", [(3, 5), (5, 7), (8, 11), (10, 47)])
+def test_blocks_at_the_sweep_horizon(m, p):
+    # the layout one level down: at N = p^3 the entries >= 2 of a row lie in
+    # one block of each super-block, the same block j = (k2 - k0) / p mod p
+    # in all of them, with k0 and k2 the least k of the row's class mod p
+    # and mod p^2; every other entry is 1
+    N = p**3
+    table = _class_valuations(m, p, N, p * p).reshape(m + 1, p, p)[1:]
+    big = table >= 2
+    assert (np.count_nonzero(big, axis=2) == 1).all()
+    t = np.arange(1, m + 1)
+    k0 = -t * pow(m, -1, p) % p
+    k2 = -t * pow(m, -1, p * p) % (p * p)
+    assert (np.argmax(big, axis=2) == ((k2 - k0) // p % p)[:, None]).all()
+    assert (table[~big] == 1).all()
+
+
+def test_first_two_of_runs_keeps_two_copies():
+    # positions 0 and 1, every false one, and exactly the first two of each
+    # run of true ones; rows padded with n to the widest
+    ok = np.array([[1, 1, 1, 1, 0, 1, 1, 1, 1, 1],
+                   [0, 0, 1, 1, 1, 0, 1, 0, 1, 1]], dtype=bool)
+    assert _first_two_of_runs(ok).tolist() == [[0, 1, 4, 5, 6, 10, 10, 10, 10],
+                                               [0, 1, 2, 3, 5, 6, 7, 8, 9]]
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 5, 16):
+        ok = rng.random((40, n)) < 0.8
+        got = _first_two_of_runs(ok)
+        for row, sel in zip(ok.tolist(), got.tolist()):
+            want, run = [], 0
+            for j, x in enumerate(row):
+                run = run + 1 if x else 0
+                if j < 2 or run <= 2:
+                    want.append(j)
+            assert sel == want + [n] * (len(sel) - len(want)), (row, sel)
+        assert got.shape[1] == max(np.count_nonzero(got < n, axis=1))
+
+
+@pytest.mark.parametrize("m", range(3, 7))
+def test_batched_oracle_equals_per_triple_oracle_where_blocks_drop(m):
+    # p > 14, so a triple keeps fewer than p blocks of a super-block; the
+    # horizons end inside a super-block, where a block is plain in some
+    # super-blocks only
+    X, Y, Z = _batch(m)
+    for p in (17, 23, 47):
+        for N in (p**3 - 1, 2 * p**2 + 3 * p + 1, p**3 + p**2 + 5):
+            got = empirical_bounded_batch(m, X, Y, Z, p, N)
+            assert np.array_equal(got, _one_by_one(m, X, Y, Z, p, N)), (m, p, N)
+
+
+def test_batched_oracle_chunks_hold_the_cell_budget(monkeypatch):
+    # at N = p^2 + 7 almost no block is plain in both super-blocks, so a
+    # triple keeps all p blocks; at N = p^3 it keeps at most 14 of them
+    kernel = sys.modules["hgdensity.padic"]
+    X, Y, Z = _batch(12)
+    p = 47
+    want = _one_by_one(12, X, Y, Z, p, p**2 + 7)
+    shapes = []
+
+    def spy(vals, before):
+        shapes.append(vals.shape)
+        return _descents(vals, before)
+
+    monkeypatch.setattr(kernel, "_descents", spy)
+    assert np.array_equal(empirical_bounded_batch(12, X, Y, Z, p, p**2 + 7), want)
+    assert len(shapes) > 1 and max(r * c for r, c in shapes) <= kernel._ORACLE_CELLS
+    assert max(c for _, c in shapes) == 4 * 2 * p
+    shapes.clear()
+    empirical_bounded_batch(12, X, Y, Z, p, p**3)
+    assert len(shapes) > 1 and max(r * c for r, c in shapes) <= kernel._ORACLE_CELLS
+    assert max(c for _, c in shapes) <= 4 * 14 * 14
 
 
 def test_descents_repeat_from_the_second_copy():

@@ -337,12 +337,14 @@ def test_huge_prime_is_refused_before_any_table():
     lambda x: w_set(x, 7),
     lambda x: w_count_formula(x, 7),
     lambda x: u_interval_decomposition(x, 7),
+    lambda x: u_interval_decomposition(2, x),
     lambda x: legendre_interval_sum(x, 7),
     lambda x: multiples_in_u(x, 2, 11),
     lambda x: multiples_in_u(6, x, 11),
     lambda x: w_intersection_nonempty(x, 3, 7),
     lambda x: w_intersection_nonempty(2, x, 7),
 ], ids=["u_set", "v_set", "w_set", "w_count_formula", "u_interval_decomposition",
+        "u_interval_decomposition_p",
         "legendre_interval_sum", "multiples_in_u_y", "multiples_in_u_x",
         "w_intersection_u", "w_intersection_v"])
 @pytest.mark.parametrize("x", [2.5, 2.0, True, "2"])

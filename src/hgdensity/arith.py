@@ -24,6 +24,18 @@ log = logging.getLogger(__name__)
 # 128 MiB as int64, while the largest moduli in everyday use stay below 10^6
 TABLE_LIMIT = 1 << 24
 
+# the most cells that one step of a chunked numpy loop evaluates at once,
+# which bounds its temporaries to a few arrays of this many entries; every
+# such loop takes its chunks from chunk_slices, which reads it at call time
+CHUNK_CELLS = 1 << 16
+
+
+def chunk_slices(n: int, width: int):
+    """Slices that cover rows 0..n-1 of ``width`` cells in order, each of at
+    most ``CHUNK_CELLS`` cells and never less than one row."""
+    rows = max(1, CHUNK_CELLS // width)
+    return (slice(lo, min(lo + rows, n)) for lo in range(0, n, rows))
+
 
 def frac_part(q: Fraction) -> Fraction:
     """Fractional part {q} = q - floor(q), always in [0, 1)."""
@@ -38,12 +50,21 @@ def least_residue(x: int, m: int) -> int:
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as ((p, e), ...) by trial division."""
+    """Prime factorization of n >= 1 as ((p, e), ...) by trial division.
+
+    Trial divisors stop at sqrt(``TABLE_LIMIT``): every n <= ``TABLE_LIMIT``
+    factors, and a larger n whose part left there may be composite is
+    refused with ValueError.
+    """
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     out = []
+    top = math.isqrt(TABLE_LIMIT)
     d = 2
     while d * d <= n:
+        if d > top:  # what is left, at least d^2, has no prime factor up to top
+            raise ValueError(f"{n}, left after trial division up to sqrt({TABLE_LIMIT}), "
+                             f"is too large to factor")
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -106,13 +127,18 @@ def cyclic_powers(u: int, m: int) -> list[int]:
     return powers
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to the first 13 prime bases decides every n below _MR_LIMIT,
+# the least strong pseudoprime to all of them (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for word-sized integers."""
+    """Deterministic Miller-Rabin below ``_MR_LIMIT``; ValueError above it."""
     if n < 2:
         return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"n={n} is too large: primality is decided below {_MR_LIMIT}")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -144,9 +170,10 @@ def check_prime(p: int):
 
 
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by sieve."""
+    """All primes <= n by sieve, of n + 1 bytes: n >= ``TABLE_LIMIT`` is a ValueError."""
     if n < 2:
         return []
+    check_table_size(n + 1, "sieve for primes up to n, entries")
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
     for p in range(2, math.isqrt(n) + 1):
@@ -317,14 +344,18 @@ def modulus_triples(m: int, height: int) -> tuple[np.ndarray, np.ndarray, np.nda
 
     The lcm of the denominators is m exactly when no prime of m divides all of
     X, Y and Z: a cell is kept when the AND of their prime bitmasks is 0.
+    An m above ``TABLE_LIMIT``, or a table of n^3 cells above it (n the
+    numerators kept), is refused with ValueError before it is built.
     """
+    check_table_size(m, "modulus m")
     x = np.arange(1, m, dtype=np.int64)
     x = x[m // np.gcd(x, m) <= height]
-    mask = np.zeros(len(x), dtype=np.uint16)  # an int64 has at most 15 primes
+    n = len(x)
+    check_table_size(n**3, f"triple table of modulus m={m}: cells")
+    mask = np.zeros(n, dtype=np.uint16)  # an int64 has at most 15 primes
     for bit, (p, _) in enumerate(factorize(m)):
         mask[x % p == 0] |= 1 << bit
     keep = ((mask[:, None] & mask)[:, :, None] & mask) == 0
-    n = len(x)
     diag = np.arange(n)
     keep[diag, :, diag] = keep[:, diag, diag] = False  # Z != X and Z != Y
     cell = np.flatnonzero(keep)  # cell = (i * n + j) * n + k

@@ -62,11 +62,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("N", type=int)
     p.add_argument("--out", default=None)
     p.add_argument("--drop-zero", action="store_true")
-    p.add_argument("--workers", type=int, default=1, help="worker processes")
+    p.add_argument("--workers", type=int, default=None, help="worker processes (default 1)")
     p.add_argument("--beta", type=_fraction, default=None, metavar="EPS")
     p.add_argument("--dry-run", action="store_true",
                    help="stratified index-space walk only, no densities")
-    p.add_argument("--stride", type=int, default=100)
+    p.add_argument("--stride", type=int, default=None, help="with --dry-run (default 100)")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--force-large", action="store_true",
                    help="allow full sweeps above height 24 (minutes of CPU)")
@@ -137,10 +137,20 @@ def _cmd_bounded(args):
 
 
 def _cmd_sweep(args):
+    # a dry run reads only --stride and --checkpoint, a full sweep all the
+    # others, and --beta not --drop-zero: an option the mode ignores is refused
+    beta = args.beta is not None
+    ignored = (("out", "drop_zero", "workers", "beta", "force_large") if args.dry_run
+               else ("stride", "checkpoint") + ("drop_zero",) * beta)
+    given = [k for k in ignored if getattr(args, k) is not None and getattr(args, k) is not False]
+    if given:
+        mode = "sweep --dry-run" if args.dry_run else "sweep --beta" if beta else "a full sweep"
+        names = ", ".join("--" + k.replace("_", "-") for k in given)
+        raise ValueError(f"{mode} would ignore {names}")
     if args.dry_run:
         report = survey.slice_dry_run(
-            args.N, stride=args.stride, checkpoint=args.checkpoint,
-            progress=print_progress,
+            args.N, stride=100 if args.stride is None else args.stride,
+            checkpoint=args.checkpoint, progress=print_progress,
         )
         sys.stderr.write("\n")
         return asdict(report)
@@ -151,12 +161,13 @@ def _cmd_sweep(args):
         )
     stream = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
-        if args.beta is not None:
-            b = survey.beta(args.beta, args.N, workers=args.workers)
+        workers = 1 if args.workers is None else args.workers
+        if beta:
+            b = survey.beta(args.beta, args.N, workers=workers)
             survey.beta_csv([(args.beta, args.N, b)], stream)
         else:
             hist = survey.density_histogram(
-                args.N, workers=args.workers, drop_zero=args.drop_zero
+                args.N, workers=workers, drop_zero=args.drop_zero
             )
             survey.histogram_csv(hist, stream)
     finally:

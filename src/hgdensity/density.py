@@ -21,13 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import (HGParams, ResidueSet, check_int, check_int_array, check_numerators,
-                    check_prime, check_table_size, cyclic_powers, euler_phi, factorize,
-                    unit_mask, units_mod)
+                    check_prime, check_table_size, chunk_slices, cyclic_powers, euler_phi,
+                    factorize, unit_mask, units_mod)
 from .errors import HypothesisError, PrimeTooSmall
-
-# the subgroup kernel evaluates at most this many cells at once, and residue
-# tables form about this many, which bounds their temporaries to a few arrays
-_KERNEL_CELLS = 1 << 16
 
 # the single-triple walk's bulk power filter steps its candidates while at
 # least _FILTER_MIN remain and each step removes at least 1/_FILTER_CUT of
@@ -50,7 +46,7 @@ def _neg_residue(m: int, X, u):
 
 
 def _neg_residues(m: int, X, units) -> np.ndarray:
-    """``out[i, k] = [-units[k] X[i]]_m``, formed about ``_KERNEL_CELLS`` products at a time.
+    """``out[i, k] = [-units[k] X[i]]_m``, formed ``arith.CHUNK_CELLS`` products at a time.
 
     The products fit uint32 below m = 2^16 and int64 above, as every caller
     has refused m > ``TABLE_LIMIT`` = 2^24.
@@ -58,9 +54,8 @@ def _neg_residues(m: int, X, units) -> np.ndarray:
     wide = np.uint32 if m < 1 << 16 else np.int64
     X, units = np.asarray(X, dtype=wide)[:, None], np.asarray(units, dtype=wide)
     out = np.empty((len(X), len(units)), dtype=np.min_scalar_type(m - 1))
-    cols = max(1, _KERNEL_CELLS // len(X))
-    for j in range(0, len(units), cols):
-        out[:, j : j + cols] = _neg_residue(m, X, units[j : j + cols])
+    for sl in chunk_slices(len(units), len(X)):
+        out[:, sl] = _neg_residue(m, X, units[sl])
     return out
 
 
@@ -232,7 +227,7 @@ def _subgroup_chunks(m: int, A, B, C):
     Omega(|H|), from the trivial group up: one AND over the generator rows
     of S per subgroup, then one AND per (H, H^l) pair.  ``ok[h, t]`` says
     whether subgroup h of ``plan`` lies inside S for triple t of the chunk.
-    Chunks hold at most ``_KERNEL_CELLS`` (triple, unit) cells; within a
+    Chunks hold at most ``arith.CHUNK_CELLS`` (triple, unit) cells; within a
     chunk, the residue row of each distinct numerator is formed once and
     gathered per triple.  Numerators outside [1, m - 1] are a ValueError.
     """
@@ -240,9 +235,7 @@ def _subgroup_chunks(m: int, A, B, C):
     if len(C) == 0:
         return
     plan = _subgroup_plan(m)
-    rows = max(1, _KERNEL_CELLS // len(plan.units))
-    for lo in range(0, len(C), rows):
-        sl = slice(lo, lo + rows)
+    for sl in chunk_slices(len(C), len(plan.units)):
         vals, idx = np.unique(np.concatenate((A[sl], B[sl], C[sl])), return_inverse=True)
         # the gathered rows die with the call, before the next chunk gathers
         S = np.ascontiguousarray(_in_s(*np.split(_neg_residues(m, vals, plan.units)[idx], 3)).T)

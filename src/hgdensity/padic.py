@@ -16,12 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import (HGParams, check_int, check_numerators, check_prime, check_rational,
-                    check_table_size, mod_order)
+                    check_table_size, chunk_slices, mod_order)
 from .errors import HypothesisError, PrimeTooSmall
-
-# the batched valuation oracle holds at most this many (triple, event) cells
-# at once, which bounds its temporaries to a few arrays of this many entries
-_ORACLE_CELLS = 1 << 15
 
 # the one-triple oracle builds its events as whole int64 arrays, about
 # 4 N / (p - 1) entries per array; a horizon that needs more is refused
@@ -215,12 +211,14 @@ def coefficient_valuations(params: HGParams, p: int, N: int) -> ValuationProfile
     """Exact v_p of the coefficients of 2F1(a,b;c) up to index N.
 
     Valuations are accumulated term by term as integers; the coefficients
-    themselves are never materialized.
+    themselves are never materialized.  The N + 1 valuations are a table, so
+    N >= ``arith.TABLE_LIMIT`` is refused with ValueError before it is built.
     """
     check_prime(p)
     check_int(N, "N")
     if N < 0:
         raise ValueError(f"N={N} must be >= 0")
+    check_table_size(N + 1, f"valuations up to N={N}: entries")
     pos, deltas = _valuation_deltas(params, p, N)
     per_k = np.zeros(N, dtype=np.int64)
     per_k[pos] = deltas
@@ -240,13 +238,16 @@ def _descents(vals: np.ndarray, before: np.ndarray):
     The running maximum includes each value itself: a value <= -1 is never
     below itself, and one >= 0 is above every value <= -1.
     """
-    # the values <= -1, and the dtype's minimum elsewhere: the sign bit,
-    # spread by an arithmetic shift, masks each value (a select is slower)
-    best = vals & (vals >> (8 * vals.itemsize - 1)) | np.iinfo(vals.dtype).min
+    # the values <= -1, and the dtype's minimum elsewhere, built in place:
+    # the sign bit, spread by an arithmetic shift, masks each value (a select
+    # is slower)
+    best = vals >> (8 * vals.itemsize - 1)
+    best &= vals
+    best |= np.iinfo(vals.dtype).min
     if not best.shape[-1]:
         return vals < best, before
     best[..., 0] = np.maximum(best[..., 0], before)
-    best = np.maximum.accumulate(best, axis=-1)
+    np.maximum.accumulate(best, axis=-1, out=best)
     return vals < best, best[..., -1]
 
 
@@ -367,9 +368,11 @@ def empirical_bounded_batch(m: int, X, Y, Z, p: int, N: int) -> np.ndarray:
     One table covers every super-block, plus the padding one; a horizon
     whose table would exceed ``arith.TABLE_LIMIT`` entries is refused with
     ValueError before anything is built, as every residue table is.
-    Triples go in chunks of at most ``_ORACLE_CELLS`` cells, or one triple
-    where one needs more.  Returns a bool array, true where the verdict is
-    BOUNDED.
+    Triples go in chunks of at most ``arith.CHUNK_CELLS`` cells, or one
+    triple where one needs more; a chunk's int64 gather index dies before
+    its events are weighed, so the largest temporaries are that index and
+    a few int8 or bool arrays of its cells.  Returns a bool array, true
+    where the verdict is BOUNDED.
     """
     check_int(N, "N")
     if N < 1:
@@ -405,11 +408,9 @@ def empirical_bounded_batch(m: int, X, Y, Z, p: int, N: int) -> np.ndarray:
     irregular = supers - np.count_nonzero(regular[1:], axis=1).min()
     nonplain = p - np.count_nonzero(plain[1:], axis=1).min()
     width = 4 * min(supers, 12 * irregular + 2) * min(p, 12 * nonplain + 2)
-    rows = max(1, _ORACLE_CELLS // width)
     table = table.ravel()
     unbounded = np.zeros(len(key), dtype=bool)
-    for r0 in range(0, len(key), rows):
-        sl = slice(r0, r0 + rows)
+    for sl in chunk_slices(len(key), width):
         sel = _first_two_of_runs(regular[nums[sl]].all(axis=1))
         blk = _first_two_of_runs(plain[nums[sl]].all(axis=1))
         # one flat index in (super-block, block, row) order, built as
@@ -419,7 +420,9 @@ def empirical_bounded_batch(m: int, X, Y, Z, p: int, N: int) -> np.ndarray:
         inner = nums[sl, None, :] * ((supers + 1) * p) + np.minimum(blk, p - 1)[:, :, None]
         at = (sel * p)[:, :, None] + inner.reshape(len(sel), 1, -1)
         w = weights[sl, None, :] * (blk < p)[:, :, None]
-        events = table.take(at) * w.reshape(len(sel), 1, -1)
+        events = table.take(at)
+        del at
+        events *= w.reshape(len(sel), 1, -1)
         vals = np.cumsum(events.reshape(len(sel), -1), axis=1, dtype=np.int8)
         floor = np.full(len(sel), np.iinfo(np.int8).min, dtype=np.int8)
         unbounded[sl] = _descents(vals, floor)[0].any(axis=1)

@@ -151,11 +151,16 @@ def w_count_formula(x: int, p: int) -> int:
 
 def u_interval_decomposition(x: int, p: int) -> list[tuple[Fraction, Fraction]]:
     """The x disjoint open intervals (ap/(x+1), ap/x) whose integer points
-    make up U_p(-x), for 1 <= x <= p-2."""
+    make up U_p(-x), for 1 <= x <= p-2.
+
+    x above ``arith.TABLE_LIMIT`` is refused with ValueError before the list
+    is built.
+    """
     check_int(x, "x")
     check_int(p, "p")
     if not (1 <= x <= p - 2):
         raise HypothesisError(f"x={x} outside [1, {p - 2}]")
+    check_table_size(x, "x")
     return [(Fraction(a * p, x + 1), Fraction(a * p, x)) for a in range(1, x + 1)]
 
 

@@ -14,13 +14,10 @@ from functools import cached_property
 import numpy as np
 
 from .arith import (TABLE_LIMIT, HGParams, ResidueSet, check_int, check_prime,
-                    check_table_size, cyclic_powers, euler_phi, factorize, is_prime, mod_order)
+                    check_table_size, chunk_slices, cyclic_powers, euler_phi, factorize,
+                    is_prime, mod_order)
 from .density import _in_s, _neg_residues, bounded_residues, density
 from .errors import CaseViolation, HypothesisError, ShapeMismatch
-
-# the pattern sweep evaluates at most this many (row, unit) cells at once,
-# which bounds its temporaries to a few arrays of this many entries
-_SWEEP_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -198,15 +195,14 @@ def _pattern_table(sp: SpecialPrime, divs: list[int]) -> dict[int, BShape]:
     return table
 
 
-def _orbit_rows(p: int, step: int):
-    """The rows 2 <= s <= t <= (p + 1)/2 and their orbit sizes, ``step`` rows at a time."""
+def _orbit_rows(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows 2 <= s <= t <= (p + 1)/2 and their orbit sizes."""
     h = (p + 1) // 2
     t = np.concatenate([np.arange(s, h + 1, dtype=np.uint16) for s in range(2, h + 1)])
     s = np.repeat(np.arange(2, h + 1, dtype=np.uint16), np.arange(h - 1, 0, -1))  # p <= 4097
     weight = np.where((s == t) | (t == h), np.uint8(4), np.uint8(8))
     weight[-1] = 1  # s = t = h
-    for lo in range(0, len(s), step):
-        yield s[lo : lo + step], t[lo : lo + step], weight[lo : lo + step]
+    return s, t, weight
 
 
 def _pattern_sweep(p: int, powg: np.ndarray, divs: list[int]) -> tuple[np.ndarray, int, int]:
@@ -266,8 +262,8 @@ def _pattern_sweep(p: int, powg: np.ndarray, divs: list[int]) -> tuple[np.ndarra
     s < t < h, 4 when s = t < h or s < t = h, and 1 at s = t = h.  The total
     (p - 2)^2 (p - 1) that :func:`sweep_special` checks guards the weights.
 
-    Rows go in chunks of max(1, ``_SWEEP_CELLS`` // (p - 1)) rows, at most
-    ``_SWEEP_CELLS`` cells at any admitted p.  Returns the count of ordered
+    Rows go in chunks of ``arith.chunk_slices`` at p - 1 cells a row, at
+    most ``arith.CHUNK_CELLS`` cells at any admitted p.  Returns the count of ordered
     triples per pattern, the largest |B| and the key
     min(x, y)*p^2 + max(x, y)*p + z of the lexicographically least triple
     attaining it: per hit cell, the least key over its images
@@ -281,7 +277,9 @@ def _pattern_sweep(p: int, powg: np.ndarray, divs: list[int]) -> tuple[np.ndarra
     res = _neg_residues(p, np.arange(1, (p + 1) // 2 + 1), powg)  # res[i - 1, k] = [-i g^k]_p
     counts = np.zeros(len(pattern), dtype=np.int64)
     best_size, best_key = -1, 0
-    for s, t, weight in _orbit_rows(p, max(1, _SWEEP_CELLS // n)):
+    rows = _orbit_rows(p)
+    for sl in chunk_slices(len(rows[0]), n):
+        s, t, weight = (v[sl] for v in rows)
         fits = [_in_s(res[s - 1], res[t - 1], res[0])]
         for d, i in zip(divs[1:], up):
             fits.append(fits[i].reshape(-1, d // divs[i], n // d).all(axis=1))
@@ -319,7 +317,7 @@ def sweep_special(sp: SpecialPrime) -> SweepResult:
     unsigned dtype, uint16 for up to 16 divisors of p - 1.  It walks one
     row (s, t) per orbit of the Euler-Pfaff symmetry group, 2 <= s <= t <=
     (p + 1)/2, weighted by the orbit's size, and runs one kernel pass per
-    chunk of rows of at most ``_SWEEP_CELLS`` cells.  The counts are mapped
+    chunk of rows of at most ``arith.CHUNK_CELLS`` cells.  The counts are mapped
     to shapes through a table built once from the subgroup orders of
     enumerate_b_shapes; a pattern that matches no shape, or a total other
     than (p - 2)^2 (p - 1), raises ShapeMismatch.  The sweep's residue table

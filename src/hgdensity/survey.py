@@ -22,13 +22,12 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .arith import check_int, check_rational, euler_phi, modulus_triples
+from .arith import check_int, check_rational, chunk_slices, euler_phi, modulus_triples
 # bounded_count is not called here; it stays importable from this module
 # because perfbench/probes.py rebinds survey.bounded_count for its spans
 from .density import bounded_count, bounded_counts  # noqa: F401
 
 MIN_HEIGHT = 3  # below this no triple with c != a, b exists
-_DRY_RUN_BLOCK = 1 << 20  # the dry run counts at most this many indices at once
 
 
 def fractions_up_to(N: int) -> list[Fraction]:
@@ -221,7 +220,8 @@ def slice_dry_run(
     Demonstrates that the full large-height sweep is mechanically supported:
     the index space is chunked, each finished chunk is checkpointed to a JSON
     file, and a rerun with the same checkpoint resumes where it stopped.
-    Densities are not computed (dry run).
+    Densities are not computed (dry run).  The sampled indices of a chunk are
+    counted ``arith.CHUNK_CELLS`` at a time.
     """
     check_int(N, "height bound", MIN_HEIGHT)
     check_int(stride, "stride", 1)
@@ -233,11 +233,11 @@ def slice_dry_run(
         start, sampled, valid = _resume_point(checkpoint, N, stride, space)
     chunks_done = 0
     lo = start
-    block = stride * _DRY_RUN_BLOCK
     while lo < space:
         hi = min(lo + chunk, space)
-        for first in range(lo + (-lo) % stride, hi, block):  # sampled indices >= lo
-            idx = np.arange(first, min(first + block, hi), stride)
+        due = range(lo + (-lo) % stride, hi, stride)  # sampled indices >= lo
+        for sl in chunk_slices(len(due), 1):
+            idx = np.arange(due[sl].start, due[sl].stop, stride)
             k, ij = idx % n, idx // n  # idx = (i * n + j) * n + k
             sampled += len(idx)
             valid += int(np.count_nonzero((k != ij % n) & (k != ij // n)))  # c != a, b
@@ -245,15 +245,11 @@ def slice_dry_run(
         chunks_done += 1
         if checkpoint:
             with open(checkpoint, "w") as f:
-                json.dump(
-                    {"N": N, "stride": stride, "next": lo, "sampled": sampled,
-                     "valid": valid},
-                    f,
-                )
+                json.dump({"N": N, "stride": stride, "next": lo, "sampled": sampled,
+                           "valid": valid}, f)
         if progress:
             progress(lo, space)
-        if max_chunks is not None and chunks_done >= max_chunks and lo < space:
-            return DryRunReport(N=N, stride=stride, sampled=sampled, valid=valid,
-                                completed=False)
+        if max_chunks is not None and chunks_done >= max_chunks:
+            break
     return DryRunReport(N=N, stride=stride, sampled=sampled, valid=valid,
-                        completed=True)
+                        completed=lo >= space)

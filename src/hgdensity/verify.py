@@ -8,7 +8,10 @@ triples at once, one prime at a time; and B comes from one batched
 :mod:`density` kernel call per modulus.  Mismatches are returned as tuples
 of Python ints in (X, Y, Z, p) order.  The sweeps are cheap enough for
 every modulus m <= 30 and safe to fan out across processes; each rejects a
-modulus that is not an int >= 2 and a prime limit that is not an int.
+modulus that is not an int >= 2 and a prime limit that is not an int, and
+refuses with ValueError, before it is built, a table of triples, a prime
+sieve or a (triples, primes) verdict array above ``arith.TABLE_LIMIT``
+entries.
 """
 
 from __future__ import annotations
@@ -17,15 +20,12 @@ import math
 
 import numpy as np
 
-from .arith import check_int, mod_order, modulus_triples, primes_in_range
+from .arith import (check_int, check_table_size, chunk_slices, mod_order, modulus_triples,
+                    primes_in_range)
 from .density import bounded_counts, bounded_members
 # empirical_bounded is not called here; it stays importable from this module
 # because perfbench/probes.py rebinds verify.empirical_bounded for its spans
 from .padic import empirical_bounded, empirical_bounded_batch  # noqa: F401
-
-# the digit evaluator handles at most this many (prime, digit, triple) cells
-# at once, which bounds its temporaries to a few arrays of this many entries
-_DIGIT_CELLS = 1 << 15
 
 
 def params_with_modulus(m: int):
@@ -54,9 +54,10 @@ def _digit_bounded(m: int, X, Y, Z, primes, flip=None) -> np.ndarray:
     is bounded iff c_j <= max(a_j, b_j) for every j < M.  M and the w_j
     depend only on r = p mod m, so the (M, triples) residue tables are built
     once per class r and every prime of the class is evaluated against them
-    in one broadcast, in chunks of at most ``_DIGIT_CELLS`` (prime, digit,
-    triple) cells.  The products stay below m * max(p): int32 when that
-    fits, int64 otherwise.
+    in one broadcast, in chunks of at most ``arith.CHUNK_CELLS`` (prime,
+    digit, triple) cells: as many primes as fit beside all the triples, then
+    as many triples as fit beside that many primes.  The products stay below
+    m * max(p): int32 when that fits, int64 otherwise.
 
     Returns ``out[t, k]``, the verdict for triple t at ``primes[k]``.  Given
     ``flip``, a bool (triples, primes) array, the verdicts are XORed into it
@@ -73,16 +74,20 @@ def _digit_bounded(m: int, X, Y, Z, primes, flip=None) -> np.ndarray:
         cols = np.flatnonzero(classes == r)
         M = mod_order(r, m)
         w = np.array([-pow(r, M - 1 - j, m) % m for j in range(M)], dtype=wide)[:, None]
-        per = max(1, min(len(cols), _DIGIT_CELLS // (M * len(Z))))  # primes
-        rows = max(1, _DIGIT_CELLS // (M * per))  # triples
-        for lo in range(0, len(Z), rows):
-            sl = slice(lo, lo + rows)
+        groups = [cols[ks] for ks in chunk_slices(len(cols), M * len(Z))]  # primes
+        for sl in chunk_slices(len(Z), M * len(groups[0])):
             z = w * Z[sl] % m
             xy = np.maximum(w * X[sl] % m, w * Y[sl] % m)
-            for i in range(0, len(cols), per):
-                ks = cols[i : i + per]
+            # every prime group of the chunk forms its digits in these two
+            # buffers: fresh arrays per group fault in new pages each time
+            bz, bxy = (np.empty((len(groups[0]), *z.shape), dtype=wide) for _ in range(2))
+            for ks in groups:
                 P = primes[ks].astype(wide)[:, None, None]
-                out[sl, ks] ^= (z * P // m <= xy * P // m).all(axis=1).T
+                cz, cxy = bz[: len(ks)], bxy[: len(ks)]
+                np.floor_divide(np.multiply(z, P, out=cz), m, out=cz)
+                np.floor_divide(np.multiply(xy, P, out=cxy), m, out=cxy)
+                out[sl, ks] ^= (cz <= cxy).all(axis=1).T
+            del bz, bxy, cz, cxy  # the buffers die before the next chunk makes its own
     return out
 
 
@@ -92,10 +97,20 @@ def _mismatches(X, Y, Z, primes, bad) -> list[tuple]:
     return sorted(zip(X[t].tolist(), Y[t].tolist(), Z[t].tolist(), primes[k].tolist()))
 
 
-def _check_sweep(m, prime_limit=0) -> None:
-    """Reject a modulus that is not an int >= 2 and a non-int prime limit."""
+def _sweep_cases(m, prime_limit=0):
+    """(X, Y, Z, primes): the triples of modulus m and the primes m < p < prime_limit.
+
+    ValueError for a modulus that is not an int >= 2 or a non-int prime
+    limit, and, before it is built, for a bool (triples, primes) verdict
+    array above ``arith.TABLE_LIMIT`` cells.
+    """
     check_int(m, "modulus m", 2)
     check_int(prime_limit, "prime_limit")
+    X, Y, Z = modulus_triples(m, m)
+    primes = np.array(primes_in_range(m, prime_limit), dtype=np.int64)
+    check_table_size(len(Z) * len(primes), f"verdicts of modulus m={m} at primes "
+                     f"below {prime_limit}: cells")
+    return X, Y, Z, primes
 
 
 def digit_residue_mismatches(m: int, prime_limit: int = 500) -> list[tuple]:
@@ -107,9 +122,7 @@ def digit_residue_mismatches(m: int, prime_limit: int = 500) -> list[tuple]:
     verdict with membership of p mod m in B.  Returns all mismatches as
     (X, Y, Z, p) tuples; an empty list means full agreement.
     """
-    _check_sweep(m, prime_limit)
-    X, Y, Z = modulus_triples(m, m)
-    primes = np.array(primes_in_range(m, prime_limit), dtype=np.int64)
+    X, Y, Z, primes = _sweep_cases(m, prime_limit)
     bad = _digit_bounded(m, X, Y, Z, primes, flip=bounded_members(m, X, Y, Z, primes))
     return _mismatches(X, Y, Z, primes, bad)
 
@@ -123,9 +136,7 @@ def empirical_digit_mismatches(m: int, prime_limit: int = 50) -> list[tuple]:
     :func:`padic.empirical_bounded_batch`) with the digit-criterion verdict.
     Returns mismatching (X, Y, Z, p).
     """
-    _check_sweep(m, prime_limit)
-    X, Y, Z = modulus_triples(m, m)
-    primes = np.array(primes_in_range(m, prime_limit), dtype=np.int64)
+    X, Y, Z, primes = _sweep_cases(m, prime_limit)
     bad = _digit_bounded(m, X, Y, Z, primes)
     for k, p in enumerate(primes.tolist()):
         bad[:, k] ^= empirical_bounded_batch(m, X, Y, Z, p, p**3)
@@ -138,7 +149,6 @@ def zero_density_mismatches(m: int) -> list[tuple]:
     On the numerators, c is strictly the smallest parameter exactly when
     Z < X and Z < Y, the form :func:`density.zero_density_criterion` takes.
     """
-    _check_sweep(m)
-    X, Y, Z = modulus_triples(m, m)
+    X, Y, Z, _ = _sweep_cases(m)
     bad = (bounded_counts(m, X, Y, Z) == 0) != ((Z < X) & (Z < Y))
     return list(zip(X[bad].tolist(), Y[bad].tolist(), Z[bad].tolist()))

@@ -1,6 +1,9 @@
 """Foundation arithmetic: fractional parts, residues, orders, parameters."""
 
 import math
+import sys
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgdensity import padic, quadratic, specialcase, verify
+from hgdensity import padic, quadratic, specialcase, survey, verify
 from hgdensity.arith import (
     TABLE_LIMIT,
     HGParams,
     ResidueSet,
     check_prime,
+    chunk_slices,
     cyclic_powers,
     euler_phi,
     factorize,
@@ -28,7 +32,7 @@ from hgdensity.arith import (
     unit_mask,
     units_mod,
 )
-from hgdensity.density import bounded_prime_test, pointwise_condition
+from hgdensity.density import bounded_counts, bounded_prime_test, pointwise_condition
 from hgdensity.errors import IntegralParameter, NotAUnit
 
 from oracles import sieve_primes
@@ -227,6 +231,68 @@ def test_is_prime_matches_sieve():
         assert is_prime(n) == (n in truth)
 
 
+def test_is_prime_is_exact_or_refuses():
+    # the least strong pseudoprime to the twelve prime bases 2..37 passes them
+    # all; base 41 exposes it, and the thirteen bases decide every n below
+    # the least strong pseudoprime to all of them, which is refused instead
+    psi12, psi13 = 318665857834031151167461, 3317044064679887385961981
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_prime(psi12)
+    assert is_prime(2**61 - 1) and is_prime(2**24 - 3)
+    for n in (psi13, psi13 + 2, 2**89 - 1):
+        for call in (is_prime, check_prime):
+            with pytest.raises(ValueError, match="too large"):
+                call(n)
+
+
+def test_factorize_stops_trial_division_at_the_table_limit():
+    # trial division up to sqrt(2^61 - 1) would run for hours
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="too large to factor"):
+        HGParams(Fraction(1, 2**61 - 1), Fraction(1, 2), Fraction(1, 3)).phi
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(ValueError, match="too large to factor"):
+        factorize(4099 * 4111)  # two primes above sqrt(TABLE_LIMIT) = 4096
+    # every n <= TABLE_LIMIT factors, and so does a larger n with at most one
+    # prime factor past the trial divisors
+    assert factorize(TABLE_LIMIT) == ((2, 24),)
+    assert factorize(TABLE_LIMIT - 3) == ((TABLE_LIMIT - 3, 1),)
+    assert factorize(2**100 * 3**5 * 4099) == ((2, 100), (3, 5), (4099, 1))
+
+
+_HUGE = [
+    (lambda: primes_up_to(TABLE_LIMIT), "sieve"),
+    (lambda: primes_in_range(5, 10**10), "sieve"),
+    (lambda: modulus_triples(1000, 1000), "triple table of modulus m=1000"),
+    (lambda: modulus_triples(TABLE_LIMIT + 1, 3), "modulus m="),
+    (lambda: verify.zero_density_mismatches(1000), "triple table of modulus m=1000"),
+    (lambda: verify.digit_residue_mismatches(5, 10**10), "sieve"),
+    (lambda: verify.digit_residue_mismatches(20, 30_000), "verdicts of modulus m=20"),
+    (lambda: verify.empirical_digit_mismatches(20, 30_000), "verdicts of modulus m=20"),
+    (lambda: padic.coefficient_valuations(_THIRDS, 5, TABLE_LIMIT), "valuations up to"),
+    (lambda: quadratic.u_interval_decomposition(TABLE_LIMIT + 1, 2**25), "x="),
+]
+
+
+@pytest.mark.parametrize("call, match", _HUGE, ids=[
+    "primes_up_to", "primes_in_range", "modulus_triples-cells", "modulus_triples-m",
+    "zero_density_mismatches", "digit_residue_mismatches-sieve",
+    "digit_residue_mismatches-verdicts", "empirical_digit_mismatches-verdicts",
+    "coefficient_valuations", "u_interval_decomposition"])
+def test_oversize_tables_are_refused_before_they_are_built(call, match):
+    # each would take from tens of MiB to many GiB: m = 1000 asks for a
+    # 999^3 keep table, 10^10 for a 10 GB sieve, 20 and 30,000 for 18.0M
+    # (triple, prime) verdicts
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+
+
 def test_prime_lists():
     assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert primes_in_range(10, 30) == [11, 13, 17, 19, 23, 29]
@@ -319,3 +385,40 @@ def test_modulus_triples_small_and_invalid():
     assert all(len(v) == 0 for v in modulus_triples(6, 1))
     with pytest.raises(ValueError):
         modulus_triples(0, 5)
+
+
+@pytest.mark.parametrize("n, width, cap", [(0, 5, 64), (10, 5, 64), (100, 7, 64), (5, 100, 64),
+                                           (1, 1, 1)])
+def test_chunk_slices_cover_the_rows_within_the_budget(monkeypatch, n, width, cap):
+    monkeypatch.setattr(sys.modules["hgdensity.arith"], "CHUNK_CELLS", cap)
+    slices = list(chunk_slices(n, width))
+    assert [i for sl in slices for i in range(n)[sl]] == list(range(n))
+    assert all(sl.stop - sl.start == max(1, cap // width) for sl in slices[:-1])
+    assert all(0 < sl.stop - sl.start for sl in slices)
+
+
+def test_one_chunk_budget_is_invisible(monkeypatch):
+    # at 7 cells the digit evaluator takes one prime and a few triples per
+    # chunk, the subgroup kernel and the valuation oracle one triple, the
+    # special sweep one row and the dry run 7 indices; every result, and the
+    # verdicts behind the two sweeps that find no mismatch, stay as they are
+    X, Y, Z = modulus_triples(7, 7)
+    runs = {
+        "criterion": lambda: verify.digit_residue_mismatches(7, 60),
+        "digit verdicts": lambda: verify._digit_bounded(
+            7, X, Y, Z, primes_in_range(7, 60)).tolist(),
+        "zero": lambda: verify.zero_density_mismatches(8),
+        "counts": lambda: bounded_counts(8, *modulus_triples(8, 8)).tolist(),
+        "oracle": lambda: verify.empirical_digit_mismatches(6, 30),
+        "survey": lambda: (survey._COUNT_CACHE.clear(), survey.survey_counts(6))[1],
+        "special": lambda: specialcase.sweep_special(specialcase.parse_special_prime(23)),
+        "dry run": lambda: survey.slice_dry_run(8, stride=7),
+    }
+    want = {name: run() for name, run in runs.items()}
+    assert want["oracle"] and not all(v for row in want["digit verdicts"] for v in row)
+    monkeypatch.setattr(sys.modules["hgdensity.arith"], "CHUNK_CELLS", 7)
+    try:
+        for name, run in runs.items():
+            assert run() == want[name], name
+    finally:
+        survey._COUNT_CACHE.clear()

@@ -146,6 +146,43 @@ def test_dry_run_malformed_checkpoint_is_usage_error(capsys, tmp_path, state):
     assert "Traceback" not in err and "ck.json" in err
 
 
+@pytest.mark.parametrize("argv, ignored", [
+    (["sweep", "5", "--checkpoint", "ck.json"], "--checkpoint"),
+    (["sweep", "5", "--stride", "7"], "--stride"),
+    (["sweep", "4", "--dry-run", "--out", "o.csv"], "--out"),
+    (["sweep", "4", "--beta", "0", "--drop-zero"], "--drop-zero"),
+    (["sweep", "4", "--dry-run", "--workers", "2"], "--workers"),
+    (["sweep", "4", "--dry-run", "--beta", "0"], "--beta"),
+    (["sweep", "4", "--dry-run", "--drop-zero"], "--drop-zero"),
+    (["sweep", "4", "--dry-run", "--force-large"], "--force-large"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_sweep_options_the_mode_ignores_are_usage_errors(capsys, tmp_path, monkeypatch,
+                                                         argv, ignored):
+    # each once ran and dropped the option: no checkpoint was written, no
+    # file created, the workers or beta never asked for
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("invalid arguments:") and err.count("\n") == 1
+    assert err.rstrip().endswith(f"would ignore {ignored}") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, code", [
+    # the least strong pseudoprime to the prime bases 2..37, a composite
+    (["bounded", "1/2", "1/3", "1/5", "318665857834031151167461"], 1),
+    (["digits", "1/3", "318665857834031151167461"], 1),
+    # at the least strong pseudoprime to the first 13 prime bases, primality
+    # is no longer decided
+    (["bounded", "1/2", "1/3", "1/5", "3317044064679887385961981"], 2),
+    (["digits", "1/3", "3317044064679887385961981"], 2),
+])
+def test_primes_past_the_deterministic_range(capsys, argv, code):
+    got, out, err = run(capsys, *argv)
+    assert got == code and out == ""
+    assert err.count("\n") == 1 and ("not prime" if code == 1 else "too large") in err
+
+
 def test_sweep_workers_print_the_same_csv(capsys, monkeypatch):
     from hgdensity import survey
 

@@ -395,13 +395,13 @@ def test_cycle_walk_refuses_moduli_beyond_the_table_limit():
 def test_bounded_counts_chunking_is_invisible(monkeypatch):
     import sys
 
-    kernel = sys.modules["hgdensity.density"]
+    arith = sys.modules["hgdensity.arith"]
     batches = {m: _batch(m) for m in (12, 15, 20)}
     whole = {m: bounded_counts(m, *batch) for m, batch in batches.items()}
     # 7 cells: one triple per chunk at every modulus here; 100: a few, with
     # a shorter last chunk
     for cap in (7, 100):
-        monkeypatch.setattr(kernel, "_KERNEL_CELLS", cap)
+        monkeypatch.setattr(arith, "CHUNK_CELLS", cap)
         for m, batch in batches.items():
             assert np.array_equal(bounded_counts(m, *batch), whole[m]), (cap, m)
 

@@ -266,12 +266,12 @@ def test_batched_oracle_chunking_is_invisible(monkeypatch):
     # super-block it may keep; the
     # default cap, which computes `whole`, puts many triples in a chunk, with
     # a shorter last one at m = 8 and N = p^3
-    kernel = sys.modules["hgdensity.padic"]
+    arith = sys.modules["hgdensity.arith"]
     cases = [(m, p, N) for m in (5, 8) for p in (11, 13) for N in (p**3, p**2 + 7)]
     whole = {c: empirical_bounded_batch(c[0], *_batch(c[0]), *c[1:]) for c in cases}
     assert any(not v.all() for v in whole.values())  # some verdict is UNBOUNDED
     for cap in (7, 100):
-        monkeypatch.setattr(kernel, "_ORACLE_CELLS", cap)
+        monkeypatch.setattr(arith, "CHUNK_CELLS", cap)
         for c, want in whole.items():
             got = empirical_bounded_batch(c[0], *_batch(c[0]), *c[1:])
             assert np.array_equal(got, want), (cap, c)
@@ -344,7 +344,7 @@ def test_batched_oracle_equals_per_triple_oracle_where_blocks_drop(m):
 def test_batched_oracle_chunks_hold_the_cell_budget(monkeypatch):
     # at N = p^2 + 7 almost no block is plain in both super-blocks, so a
     # triple keeps all p blocks; at N = p^3 it keeps at most 14 of them
-    kernel = sys.modules["hgdensity.padic"]
+    kernel, arith = sys.modules["hgdensity.padic"], sys.modules["hgdensity.arith"]
     X, Y, Z = _batch(12)
     p = 47
     want = _one_by_one(12, X, Y, Z, p, p**2 + 7)
@@ -356,11 +356,11 @@ def test_batched_oracle_chunks_hold_the_cell_budget(monkeypatch):
 
     monkeypatch.setattr(kernel, "_descents", spy)
     assert np.array_equal(empirical_bounded_batch(12, X, Y, Z, p, p**2 + 7), want)
-    assert len(shapes) > 1 and max(r * c for r, c in shapes) <= kernel._ORACLE_CELLS
+    assert len(shapes) > 1 and max(r * c for r, c in shapes) <= arith.CHUNK_CELLS
     assert max(c for _, c in shapes) == 4 * 2 * p
     shapes.clear()
     empirical_bounded_batch(12, X, Y, Z, p, p**3)
-    assert len(shapes) > 1 and max(r * c for r, c in shapes) <= kernel._ORACLE_CELLS
+    assert len(shapes) > 1 and max(r * c for r, c in shapes) <= arith.CHUNK_CELLS
     assert max(c for _, c in shapes) <= 4 * 14 * 14
 
 

@@ -289,7 +289,7 @@ def test_sweep_structure_at_487():
     p = 487  # 2 * 3^5 + 1
     sp = parse_special_prime(p)
     assert (sp.q, sp.r) == (3, 5)
-    # the sweep holds one chunk of at most _SWEEP_CELLS cells at a time and
+    # the sweep holds one chunk of at most CHUNK_CELLS cells at a time and
     # its row list as uint16 pairs and uint8 weights; the same list held as
     # three int64 arrays reads 1.97 MiB
     tracemalloc.start()
@@ -351,7 +351,7 @@ def test_pattern_kernel_blocks_are_invisible(monkeypatch, p):
     outs = []
     for cap in (None, 1, 4 * (p - 1) - 1, (p - 1) * (p - 1) // 2):
         if cap is not None:
-            monkeypatch.setattr(specialcase, "_SWEEP_CELLS", cap)
+            monkeypatch.setattr(sys.modules["hgdensity.arith"], "CHUNK_CELLS", cap)
         counts, top, key = specialcase._pattern_sweep(p, powg, divs)
         outs.append((counts.tolist(), top, key))
     assert outs[0] == outs[1] == outs[2] == outs[3]
@@ -362,7 +362,7 @@ def test_orbit_rows_at_the_largest_prime_stay_small():
     # weights; built through int64 index arrays they once peaked at 43.94 MiB
     tracemalloc.start()
     try:
-        s, t, weight = next(specialcase._orbit_rows(4093, 1 << 30))
+        s, t, weight = specialcase._orbit_rows(4093)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -377,7 +377,7 @@ def test_orbit_rows_meet_every_orbit_once(p):
     # the group {s <-> t, s -> 1 - s, t -> 1 - t} on (F_p minus {0, 1})^2,
     # closed by brute force: each orbit holds exactly one row, weighted by
     # the orbit's size
-    [(s, t, weight)] = specialcase._orbit_rows(p, p * p)  # one chunk
+    s, t, weight = specialcase._orbit_rows(p)
     assert (s.dtype, t.dtype, weight.dtype) == (np.uint16, np.uint16, np.uint8)
     row = {pair: r for r, pair in enumerate(zip(s.tolist(), t.tolist()))}
     assert len(row) == len(weight)
@@ -407,7 +407,7 @@ def test_cell_budget_bounds_the_sweep_memory(monkeypatch):
     # s = 2 reads 1.62 MiB
     p = 487
     powg, divs = specialcase._lattice(p)
-    monkeypatch.setattr(specialcase, "_SWEEP_CELLS", 1 << 12)
+    monkeypatch.setattr(sys.modules["hgdensity.arith"], "CHUNK_CELLS", 1 << 12)
     tracemalloc.start()
     try:
         counts, _, _ = specialcase._pattern_sweep(p, powg, divs)

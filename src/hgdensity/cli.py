@@ -20,6 +20,8 @@ from .arith import normalize_params
 from .density import bounded_residues, density, record
 from .errors import HypothesisError
 
+LARGE_HEIGHT = 28  # a serial full sweep above this height takes over a minute of CPU
+
 
 def _fraction(text: str) -> Fraction:
     try:
@@ -61,15 +63,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_sweep)
     p.add_argument("N", type=int)
     p.add_argument("--out", default=None)
-    p.add_argument("--drop-zero", action="store_true")
-    p.add_argument("--workers", type=int, default=None, help="worker processes (default 1)")
-    p.add_argument("--beta", type=_fraction, default=None, metavar="EPS")
-    p.add_argument("--dry-run", action="store_true",
-                   help="stratified index-space walk only, no densities")
-    p.add_argument("--stride", type=int, default=None, help="with --dry-run (default 100)")
-    p.add_argument("--checkpoint", default=None)
+    p.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("--force-large", action="store_true",
-                   help="allow full sweeps above height 24 (minutes of CPU)")
+                   help=f"allow full sweeps above height {LARGE_HEIGHT} (over a minute of CPU)")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--drop-zero", action="store_true")
+    mode.add_argument("--beta", type=_fraction, default=None, metavar="EPS")
+
+    p = sub.add_parser("dry-run", help="stratified index-space walk of a sweep, no densities")
+    p.set_defaults(run=_cmd_dry_run)
+    p.add_argument("N", type=int)
+    p.add_argument("--stride", type=int, default=100)
+    p.add_argument("--checkpoint", default=None)
 
     p = sub.add_parser("quad", help="quadratic-residue machinery")
     qsub = p.add_subparsers(dest="qcmd", required=True)
@@ -137,43 +142,31 @@ def _cmd_bounded(args):
 
 
 def _cmd_sweep(args):
-    # a dry run reads only --stride and --checkpoint, a full sweep all the
-    # others, and --beta not --drop-zero: an option the mode ignores is refused
-    beta = args.beta is not None
-    ignored = (("out", "drop_zero", "workers", "beta", "force_large") if args.dry_run
-               else ("stride", "checkpoint") + ("drop_zero",) * beta)
-    given = [k for k in ignored if getattr(args, k) is not None and getattr(args, k) is not False]
-    if given:
-        mode = "sweep --dry-run" if args.dry_run else "sweep --beta" if beta else "a full sweep"
-        names = ", ".join("--" + k.replace("_", "-") for k in given)
-        raise ValueError(f"{mode} would ignore {names}")
-    if args.dry_run:
-        report = survey.slice_dry_run(
-            args.N, stride=100 if args.stride is None else args.stride,
-            checkpoint=args.checkpoint, progress=print_progress,
-        )
-        sys.stderr.write("\n")
-        return asdict(report)
-    if args.N > 24 and not args.force_large:
+    if args.N > LARGE_HEIGHT and not args.force_large:
         raise HypothesisError(
-            f"a full sweep above height 24 takes minutes of CPU; "
+            f"a full sweep above height {LARGE_HEIGHT} takes over a minute of CPU; "
             f"pass --force-large to run height {args.N}"
         )
     stream = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
-        workers = 1 if args.workers is None else args.workers
-        if beta:
-            b = survey.beta(args.beta, args.N, workers=workers)
+        if args.beta is not None:
+            b = survey.beta(args.beta, args.N, workers=args.workers)
             survey.beta_csv([(args.beta, args.N, b)], stream)
         else:
             hist = survey.density_histogram(
-                args.N, workers=workers, drop_zero=args.drop_zero
+                args.N, workers=args.workers, drop_zero=args.drop_zero
             )
             survey.histogram_csv(hist, stream)
     finally:
         if args.out:
             stream.close()
     return None
+
+
+def _cmd_dry_run(args):
+    report = survey.slice_dry_run(args.N, args.stride, args.checkpoint, progress=print_progress)
+    sys.stderr.write("\n")
+    return asdict(report)
 
 
 # the quad subcommands: name, int arguments, handler

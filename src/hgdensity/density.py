@@ -20,9 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import (HGParams, ResidueSet, check_int, check_int_array, check_numerators,
-                    check_prime, check_table_size, chunk_slices, cyclic_powers, euler_phi,
-                    factorize, unit_mask, units_mod)
+from .arith import (TABLE_LIMIT, HGParams, ResidueSet, check_int, check_int_array,
+                    check_numerators, check_prime, check_table_size, chunk_slices,
+                    cyclic_powers, euler_phi, factorize, unit_mask, units_mod)
 from .errors import HypothesisError, PrimeTooSmall
 
 # the single-triple walk's bulk power filter steps its candidates while at
@@ -30,6 +30,10 @@ from .errors import HypothesisError, PrimeTooSmall
 # them, so it never runs for m <= _FILTER_MIN, where phi(m) < _FILTER_MIN
 _FILTER_MIN = 256
 _FILTER_CUT = 32
+
+# the subgroup plan holds Python ints in lists and a dict, measured at 132 to
+# 208 bytes per unit (m near 10^6); at 208 bytes, 26 int64 entries of a table
+_PLAN_ENTRIES_PER_UNIT = 26
 
 
 def _numerators(params: HGParams) -> tuple[int, int, int]:
@@ -180,7 +184,18 @@ class _Plan(NamedTuple):
 
 
 def _subgroup_plan(m: int) -> _Plan:
-    """The cyclic subgroups of (Z/m)^* and their maximal subgroups."""
+    """The cyclic subgroups of (Z/m)^* and their maximal subgroups.
+
+    A plan larger than an int64 table of ``TABLE_LIMIT`` entries (128 MiB)
+    is refused with ValueError before it is built: phi(m) above 645,277.
+    """
+    phi = euler_phi(m)
+    if phi * _PLAN_ENTRIES_PER_UNIT > TABLE_LIMIT:
+        raise ValueError(
+            f"modulus m={m} is too large for the batched kernel: its plan of "
+            f"phi(m)={phi} units would exceed {8 * TABLE_LIMIT >> 20} MiB; "
+            f"bounded_count answers a single triple"
+        )
     sub_of: dict[int, int] = {}  # unit -> index of the subgroup it generates
     gens: list[list[int]] = []
     maximal: list[list[int]] = []  # per subgroup, u^l for each prime l | |H|
@@ -253,7 +268,8 @@ def bounded_counts(m: int, A, B, C) -> np.ndarray:
 
     Every unit generates exactly one cyclic subgroup, so |B| is the sum of
     phi(|H|) over the cyclic subgroups H inside S.  The numerators must lie
-    in [1, m - 1].
+    in [1, m - 1], and a modulus whose subgroup plan would exceed the table
+    budget is refused with ValueError (:func:`_subgroup_plan`).
     """
     out = np.empty(len(C), dtype=np.int64)
     for sl, ok, plan in _subgroup_chunks(m, A, B, C):

@@ -22,7 +22,8 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .arith import check_int, check_rational, chunk_slices, euler_phi, modulus_triples
+from .arith import (check_int, check_rational, chunk_slices, euler_phi, modulus_triples,
+                    primes_up_to)
 # bounded_count is not called here; it stays importable from this module
 # because perfbench/probes.py rebinds survey.bounded_count for its spans
 from .density import bounded_count, bounded_counts  # noqa: F401
@@ -34,6 +35,16 @@ def fractions_up_to(N: int) -> list[Fraction]:
     """All reduced fractions in (0, 1) with denominator <= N, ascending."""
     out = {Fraction(n, d) for d in range(2, N + 1) for n in range(1, d)}
     return sorted(out)
+
+
+def _fraction_count(N: int) -> int:
+    """``len(fractions_up_to(N))``, the sum of phi(d) over d = 2..N, from a
+    totient sieve of N + 1 entries (refused above ``arith.TABLE_LIMIT``)."""
+    primes = primes_up_to(N)  # refuses the sieve before phi is built
+    phi = np.arange(N + 1, dtype=np.int32)  # N < 2^31 once the sieve is accepted
+    for q in primes:
+        phi[q::q] -= phi[q::q] // q
+    return int(phi[2:].sum(dtype=np.int64))
 
 
 def enumerate_params(N: int):
@@ -88,7 +99,8 @@ _COUNT_CACHE: dict[int, SweepCounts] = {}
 
 def survey_counts(N: int, workers: int = 1) -> SweepCounts:
     """Run (or reuse) the full density sweep at height N, one modulus at a
-    time, on at most ``workers`` processes."""
+    time, on at most ``workers`` processes and no more than the moduli or
+    the CPUs this process may run on."""
     check_int(N, "height bound", MIN_HEIGHT)
     check_int(workers, "workers", 1)
     cached = _COUNT_CACHE.get(N)
@@ -96,7 +108,9 @@ def survey_counts(N: int, workers: int = 1) -> SweepCounts:
         return cached
     moduli = _moduli(N)
     count = partial(_modulus_counts, N=N)
-    processes = min(workers, len(moduli))
+    # the CPUs this process may run on (the affinity call is Linux-only)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    processes = min(workers, len(moduli), cpus or 1)
     distinct: Counter = Counter()
     equal_ab: Counter = Counter()
     with Pool(processes) if processes > 1 else nullcontext() as pool:
@@ -226,7 +240,7 @@ def slice_dry_run(
     check_int(N, "height bound", MIN_HEIGHT)
     check_int(stride, "stride", 1)
     check_int(chunk, "chunk", 1)
-    n = len(fractions_up_to(N))
+    n = _fraction_count(N)
     space = n**3
     start = sampled = valid = 0
     if checkpoint and os.path.exists(checkpoint):

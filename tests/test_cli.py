@@ -124,13 +124,13 @@ def test_sweep_csv(capsys):
 def test_sweep_beta_and_dry_run(capsys):
     code, out, _ = run(capsys, "sweep", "3", "--beta", "0")
     assert code == 0 and out.strip().splitlines()[1] == "0/1,3,1/3"
-    code, out, _ = run(capsys, "sweep", "8", "--dry-run", "--stride", "50")
+    code, out, _ = run(capsys, "dry-run", "8", "--stride", "50")
     data = json.loads(out)
     assert code == 0 and data["completed"] is True
 
 
 def test_dry_run_zero_stride_is_usage_error(capsys):
-    code, out, err = run(capsys, "sweep", "8", "--dry-run", "--stride", "0")
+    code, out, err = run(capsys, "dry-run", "8", "--stride", "0")
     assert code == 2 and out == ""
     assert err.startswith("invalid arguments:") and err.count("\n") == 1
     assert "Traceback" not in err
@@ -140,7 +140,7 @@ def test_dry_run_zero_stride_is_usage_error(capsys):
 def test_dry_run_malformed_checkpoint_is_usage_error(capsys, tmp_path, state):
     ck = tmp_path / "ck.json"
     ck.write_text(state)
-    code, out, err = run(capsys, "sweep", "8", "--dry-run", "--checkpoint", str(ck))
+    code, out, err = run(capsys, "dry-run", "8", "--checkpoint", str(ck))
     assert code == 2 and out == ""
     assert err.startswith("invalid arguments:") and err.count("\n") == 1
     assert "Traceback" not in err and "ck.json" in err
@@ -149,22 +149,32 @@ def test_dry_run_malformed_checkpoint_is_usage_error(capsys, tmp_path, state):
 @pytest.mark.parametrize("argv, ignored", [
     (["sweep", "5", "--checkpoint", "ck.json"], "--checkpoint"),
     (["sweep", "5", "--stride", "7"], "--stride"),
-    (["sweep", "4", "--dry-run", "--out", "o.csv"], "--out"),
     (["sweep", "4", "--beta", "0", "--drop-zero"], "--drop-zero"),
-    (["sweep", "4", "--dry-run", "--workers", "2"], "--workers"),
-    (["sweep", "4", "--dry-run", "--beta", "0"], "--beta"),
-    (["sweep", "4", "--dry-run", "--drop-zero"], "--drop-zero"),
-    (["sweep", "4", "--dry-run", "--force-large"], "--force-large"),
+    # sweep has no --dry-run: the dry run is its own command
+    (["sweep", "4", "--dry-run", "--out", "o.csv"], "--dry-run"),
+    (["sweep", "4", "--dry-run", "--workers", "2"], "--dry-run"),
+    (["sweep", "4", "--dry-run", "--beta", "0"], "--dry-run"),
+    (["sweep", "4", "--dry-run", "--drop-zero"], "--dry-run"),
+    (["sweep", "4", "--dry-run", "--force-large"], "--dry-run"),
+    (["dry-run", "4", "--out", "o.csv"], "--out"),
+    (["dry-run", "4", "--workers", "2"], "--workers"),
+    (["dry-run", "4", "--beta", "0"], "--beta"),
+    (["dry-run", "4", "--drop-zero"], "--drop-zero"),
+    (["dry-run", "4", "--force-large"], "--force-large"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_sweep_options_the_mode_ignores_are_usage_errors(capsys, tmp_path, monkeypatch,
                                                          argv, ignored):
-    # each once ran and dropped the option: no checkpoint was written, no
-    # file created, the workers or beta never asked for
+    # a full sweep takes no --stride or --checkpoint, --beta no --drop-zero,
+    # and a dry run only those two: each combination that once ran and
+    # dropped an option is refused by argparse before any checkpoint or
+    # output file is written
     monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err.startswith("invalid arguments:") and err.count("\n") == 1
-    assert err.rstrip().endswith(f"would ignore {ignored}") and "Traceback" not in err
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    last = err.splitlines()[-1]
+    assert ": error: " in last and ignored in last and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -194,6 +204,8 @@ def test_sweep_workers_print_the_same_csv(capsys, monkeypatch):
 
     real_pool = survey.Pool
     monkeypatch.setattr(survey, "Pool", spy)
+    # the pool is capped at the CPUs this process may use: allow two
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     csv = {}
     try:
         for workers in ("1", "2"):
@@ -218,7 +230,7 @@ def test_sweep_output_file(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["sweep", "3", "--out", "{missing}/x.csv"],
-    ["sweep", "8", "--dry-run", "--checkpoint", "{missing}/ck.json"],
+    ["dry-run", "8", "--checkpoint", "{missing}/ck.json"],
 ])
 def test_unwritable_output_path_is_usage_error(capsys, tmp_path, argv):
     missing = tmp_path / "no-such-directory"
@@ -237,6 +249,42 @@ def test_exit_code_hypothesis_violation(capsys):
     # sweeps above the gate need an explicit flag
     code, _, err = run(capsys, "sweep", "32")
     assert code == 1 and "force-large" in err
+
+
+def test_force_large_gate_sits_at_the_first_height_past_a_minute(capsys, monkeypatch):
+    # one serial sweep took 57.9 CPU s at height 28 and 124 s at 29
+    from hgdensity import survey
+
+    monkeypatch.setattr(survey, "density_histogram",
+                        lambda N, workers, drop_zero: survey.Histogram({}, 0))
+    code, out, err = run(capsys, "sweep", "29")
+    assert code == 1 and out == "" and "above height 28" in err and "force-large" in err
+    for argv in (["sweep", "28"], ["sweep", "29", "--force-large"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == "density,count\r\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
+    assert "above height 28" in " ".join(capsys.readouterr().out.split())
+
+
+def test_sweep_and_dry_run_print_the_library_bytes(capsys, tmp_path):
+    from dataclasses import asdict
+
+    from hgdensity import survey
+
+    want = "0891829e656518d4f10f226319fd1cafc01047ba5b531d6ed2a308ef875bc1cb"
+    target = tmp_path / "hist.csv"
+    code, out, _ = run(capsys, "sweep", "12")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == want
+    code, out, _ = run(capsys, "sweep", "12", "--out", str(target))
+    assert code == 0 and out == ""
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == want
+    code, out, _ = run(capsys, "sweep", "12", "--beta", "1/10")
+    assert code == 0 and out.startswith("epsilon,N,beta\r\n1/10,12,") and out.endswith("\r\n")
+    code, out, err = run(capsys, "dry-run", "64", "--stride", "100")
+    assert code == 0 and json.loads(out) == asdict(survey.slice_dry_run(64, stride=100))
+    assert err.startswith("\rsweep: ") and err.endswith("(100.0%)\n")
 
 
 def test_modulus_beyond_int64_is_usage_error(capsys):
@@ -371,7 +419,7 @@ _ARGV = st.one_of(
     _argv("quad", st.sampled_from(["uset", "wset", "interval-sum"]), _INT, _INT),
     _argv("quad", "intersect", _INT, _INT, _INT),
     _argv("special", st.integers(-5, 299).map(str), _option("--max-density")),
-    _argv("sweep", st.integers(-2, 12).map(str), "--dry-run",
+    _argv("dry-run", st.integers(-2, 12).map(str),
           _option("--stride", st.integers(-3, 500).map(str))),
 )
 

@@ -426,6 +426,31 @@ def test_bounded_counts_empty_and_ragged_batches():
         bounded_counts(12, [1, 5], [7], [11, 1])
 
 
+def test_batched_kernel_refuses_a_plan_beyond_the_table_budget(monkeypatch):
+    # the plan for this one triple once took 34.9 CPU s and 2.5 GiB
+    import sys
+    import time
+    import tracemalloc
+
+    m = 16777213  # a prime at the table limit
+    start = time.process_time()
+    tracemalloc.start()
+    try:
+        for call in (bounded_counts, lambda *t: bounded_members(*t, [1])):
+            with pytest.raises(ValueError, match="bounded_count answers"):
+                call(m, [1], [2], [3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.process_time() - start < 1 and peak < 1 << 20
+    assert bounded_counts(m, [], [], []).shape == (0,)
+    # the rule at its boundary: 26 int64 entries per unit
+    monkeypatch.setattr(sys.modules["hgdensity.density"], "TABLE_LIMIT", 26 * 12)
+    assert bounded_counts(13, [1], [2], [3]).tolist() == [bounded_count(13, 1, 2, 3)]
+    with pytest.raises(ValueError, match="phi\\(m\\)=16 units"):
+        bounded_counts(17, [1], [2], [3])
+
+
 def test_bounded_members_rejects_non_units_and_ragged_batches():
     # column[u] is -1 for a non-unit u, which would select the last subgroup
     for units in ([1, 2], [5, 12], [0], [[1, 5]]):

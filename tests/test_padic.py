@@ -383,12 +383,42 @@ def test_descents_repeat_from_the_second_copy():
 
 
 def test_empirical_horizon_beyond_the_event_limit(monkeypatch):
-    # about 4 N / (p - 1) events: refused before any event array is built
-    monkeypatch.setattr(sys.modules["hgdensity.padic"], "_EVENT_LIMIT", 100)
+    # the events are counted before any is made: at 4 N / (p - 1) or so,
+    # 100 events up to N = 151 and 101 up to 152
+    padic = sys.modules["hgdensity.padic"]
+    monkeypatch.setattr(sys.modules["hgdensity.arith"], "TABLE_LIMIT", 100 * padic._EVENT_ENTRIES)
     pr = params("1/3", "1/3", "2/3")
-    assert empirical_bounded(pr, 7, 151).bounded  # 4 * 151 // 6 = 100
+    assert empirical_bounded(pr, 7, 151).bounded
     with pytest.raises(ValueError, match="too large"):
         empirical_bounded(pr, 7, 152)
+
+
+def test_empirical_horizon_within_the_event_limit_stays_in_its_table_budget(monkeypatch):
+    # at the largest accepted horizon the call holds at most _EVENT_ENTRIES
+    # int64 entries per event (at 2^24 entries, 301 MiB traced before the
+    # limit was tied to what the call holds); 2^18 entries keep the test small
+    padic = sys.modules["hgdensity.padic"]
+    limit = 1 << 18
+    monkeypatch.setattr(sys.modules["hgdensity.arith"], "TABLE_LIMIT", limit)
+    for triple, p in ((("1/3", "1/3", "2/3"), 7), (("1/2", "1/3", "1/5"), 10007)):
+        pr = params(*triple)
+        lo, hi = 1, 1 << 40  # the largest N the rule accepts
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            try:
+                padic._valuation_deltas(pr, p, mid)
+                lo = mid
+            except ValueError:
+                hi = mid - 1
+        tracemalloc.start()
+        try:
+            empirical_bounded(pr, p, lo)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * limit, (triple, p, lo, peak)
+        with pytest.raises(ValueError, match="too large"):
+            empirical_bounded(pr, p, lo + p)
 
 
 def test_batched_oracle_boundary():

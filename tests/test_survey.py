@@ -200,6 +200,23 @@ def test_dry_run_counts_exactly():
     assert rep.completed
 
 
+def test_dry_run_counts_the_fractions_without_making_them():
+    # the count once came from len(fractions_up_to(N)), N^2 / 2 Fractions
+    # made before the first progress line: about 4 s and 39 MiB at N = 1000
+    for N in range(2, 64):
+        assert survey._fraction_count(N) == len(survey.fractions_up_to(N))
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(1)
+    try:
+        rep = survey.slice_dry_run(1000, stride=10**9, max_chunks=1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (rep.sampled, rep.valid, rep.completed) == (1, 0, False)
+    with pytest.raises(ValueError, match="too large"):
+        survey.slice_dry_run(1 << 24)
+
+
 def _timeout(signum, frame):
     raise TimeoutError("slice_dry_run did not return")
 
@@ -294,6 +311,7 @@ class _RecordingPool:
 def test_pool_size_comes_from_the_input(monkeypatch):
     monkeypatch.setattr(survey, "Pool", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "started", [])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
     serial = fresh_counts(3, workers=1)
     assert _RecordingPool.started == []
     pooled = fresh_counts(3, workers=64)
@@ -305,6 +323,22 @@ def test_pool_size_comes_from_the_input(monkeypatch):
             survey.survey_counts(3, workers=workers)
         assert survey._COUNT_CACHE == {}
     assert len(_RecordingPool.started) == 1
+
+
+def test_pool_size_is_capped_by_the_cpus(monkeypatch):
+    # one process per modulus would be 491 processes at N = 24
+    cpus = len(os.sched_getaffinity(0))
+    monkeypatch.setattr(survey, "Pool", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    try:
+        serial = fresh_counts(8, workers=1)
+        assert fresh_counts(8, workers=1000) == serial
+        assert _RecordingPool.started == ([min(cpus, len(survey._moduli(8)))] if cpus > 1 else [])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert fresh_counts(8, workers=1000) == serial
+        assert _RecordingPool.started[-1] == 3
+    finally:
+        survey._COUNT_CACHE.clear()
 
 
 def test_sweep_streams_one_modulus_at_a_time():

@@ -391,10 +391,14 @@ class DensityRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "DensityRecord":
-        """ValueError for a missing key, m > ``TABLE_LIMIT``, or a wrong m, phi or density."""
+        """ValueError: a missing or mistyped key, m > ``TABLE_LIMIT``, a wrong m, phi or density."""
         d = json.loads(text)
         if not isinstance(d, dict) or not {"a", "b", "c", "m", "B", "phi", "density"} <= d.keys():
             raise ValueError("a density record is an object with keys a, b, c, m, B, phi, density")
+        if not (all(type(d[k]) in (str, int) for k in ("a", "b", "c", "density"))
+                and type(d["m"]) is type(d["phi"]) is int
+                and type(d["B"]) is list and all(type(u) is int for u in d["B"])):
+            raise ValueError("a density record has str or int a, b, c, density, int m, phi, B")
         params = HGParams(Fraction(d["a"]), Fraction(d["b"]), Fraction(d["c"]))
         check_table_size(params.m, "modulus m")  # before phi(m) factors it
         m, phi = params.m, euler_phi(params.m)

@@ -22,6 +22,9 @@ from .errors import HypothesisError, PrimeTooSmall
 # the int64 entries per valuation event that the one-triple oracle holds at
 # its peak: measured at 17 to 28 bytes per event, at most 3.5 entries
 _EVENT_ENTRIES = 4
+# coefficient_valuations' int64 entries per valuation at its peak: 20-21 bytes
+# measured, 32 more for a valuation outside CPython's cached ints [-5, 256]
+_VALUATION_ENTRIES = 3
 
 
 class Verdict(Enum):
@@ -220,19 +223,20 @@ def coefficient_valuations(params: HGParams, p: int, N: int) -> ValuationProfile
     """Exact v_p of the coefficients of 2F1(a,b;c) up to index N.
 
     Valuations are accumulated term by term as integers; the coefficients
-    themselves are never materialized.  The N + 1 valuations are a table, so
-    N >= ``arith.TABLE_LIMIT`` is refused with ValueError before it is built.
+    themselves are never materialized.  ``_VALUATION_ENTRIES`` int64 entries per
+    valuation above ``arith.TABLE_LIMIT`` are refused with ValueError first.
     """
     check_prime(p)
     check_int(N, "N")
     if N < 0:
         raise ValueError(f"N={N} must be >= 0")
-    check_table_size(N + 1, f"valuations up to N={N}: entries")
+    check_table_size(_VALUATION_ENTRIES * (N + 1), f"int64 entries of the valuations up to N={N}")
     pos, deltas = _valuation_deltas(params, p, N)
-    per_k = np.zeros(N, dtype=np.int64)
-    per_k[pos] = deltas
-    vals = np.concatenate([[0], np.cumsum(per_k)])
-    return ValuationProfile(prime=p, upto=N, valuations=tuple(int(v) for v in vals))
+    vals = np.zeros(N + 1, dtype=np.int32)  # |valuation| <= events < 2^31
+    vals[1:][pos] = deltas
+    del pos, deltas
+    np.cumsum(vals, out=vals)
+    return ValuationProfile(prime=p, upto=N, valuations=tuple(vals.tolist()))
 
 
 def _descents(vals: np.ndarray, before: np.ndarray):

@@ -174,24 +174,24 @@ class SweepResult:
     total: int
 
 
-def _pattern_table(sp: SpecialPrime, divs: list[int]) -> dict[int, BShape]:
-    """Subgroup pattern of every shape: bit i set when H_(divs[i]) lies in it.
+def _size_table(sp: SpecialPrime, divs: list[int]) -> dict[int, BShape]:
+    """|B| of every shape, in the order of enumerate_b_shapes.
 
     A cyclic H_d lies in a union of subgroups when its generator does, so in
     one of them, H_e, which holds exactly when d | e.  The shape's size is the
-    sum of phi(d) over the set bits and must match its closed-form density.
+    sum of phi(d) over those d and must match its closed-form density.  The
+    sizes 0, q^(r-j), 2 q^(r-k) and q^(r-j) + q^(r-k) differ in base q >= 3.
     """
     n = sp.p - 1
     table = {}
     for shape in enumerate_b_shapes(sp):
-        bits = [i for i, d in enumerate(divs) if any(e % d == 0 for e in shape.orders)]
-        size = sum(euler_phi(divs[i]) for i in bits)
+        size = sum(euler_phi(d) for d in divs if any(e % d == 0 for e in shape.orders))
         if size != shape.density * n:
             raise ShapeMismatch(
                 f"{shape.label()} over p={sp.p} has {size} members, not"
                 f" {shape.density} * {n}"
             )
-        table[sum(1 << i for i in bits)] = shape
+        table[size] = shape
     return table
 
 
@@ -206,7 +206,7 @@ def _orbit_rows(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _pattern_sweep(p: int, powg: np.ndarray, divs: list[int]) -> tuple[np.ndarray, int, int]:
-    """Triples (x/p, y/p; z/p) per subgroup pattern, the largest |B| and its key.
+    """Triples (x/p, y/p; z/p) per |B|, the largest |B| and its key.
 
     The pointwise set of (x, y; z) is determined by s = x/z and t = y/z mod p,
     and u lies in B exactly when the coset z<u> is contained in
@@ -222,12 +222,12 @@ def _pattern_sweep(p: int, powg: np.ndarray, divs: list[int]) -> tuple[np.ndarra
     of d > 1, H_d is l cosets of H_(d/l), so
     fits[d] = fits[d/l].reshape(rows, l, n/d).all(axis=1) reads the
     l*n/d columns of its predecessor instead of all n columns of T.
-    B is the union of the H_d that fit, so each (row, z) cell gets a pattern:
-    bit i set when H_(divs[i]) fits, and |B| = sum of phi(d) over its set
-    bits.  The pattern is summed back down the same tree in the narrowest
-    unsigned dtype with a bit per divisor: each divisor's bit column is added,
-    tiled, into its predecessor's, so every divisor reaches the full width
-    along exactly one path and the sum of its distinct bits is their OR.
+    B is the union of the H_d that fit, and its units of order d generate
+    H_d, so |B| is the sum of phi(d) over the d that fit.  phi(d) * fits[d]
+    is summed back down the same tree, each divisor's column added, tiled,
+    into its predecessor's: every divisor reaches the full width along
+    exactly one path, so each (row, z) cell ends with its |B|, and every
+    partial sum fits the narrowest unsigned dtype that holds p - 1.
 
     Symmetry.  Euler's and Pfaff's transformations (Abramowitz-Stegun
     15.3.3-15.3.4, DLMF 15.8.1),
@@ -256,7 +256,7 @@ def _pattern_sweep(p: int, powg: np.ndarray, divs: list[int]) -> tuple[np.ndarra
     otherwise, so [-w]_p <= [-w(1 - s)]_p exactly when [-w]_p <= [-ws]_p,
     and T(1 - s, t) = T(s, t).  With the swap s <-> t these maps generate a
     group of order 8 on the pairs (s, t) of residues other than 0 and 1,
-    and it keeps every cell's pattern; h = (p + 1)/2 is the fixed point of
+    and it keeps every cell's |B|; h = (p + 1)/2 is the fixed point of
     s -> 1 - s = p + 1 - s.  The sweep therefore walks only the fundamental
     domain 2 <= s <= t <= h and weighs each row by its orbit size: 8 when
     s < t < h, 4 when s = t < h or s < t = h, and 1 at s = t = h.  The total
@@ -264,18 +264,16 @@ def _pattern_sweep(p: int, powg: np.ndarray, divs: list[int]) -> tuple[np.ndarra
 
     Rows go in chunks of ``arith.chunk_slices`` at p - 1 cells a row, at
     most ``arith.CHUNK_CELLS`` cells at any admitted p.  Returns the count of ordered
-    triples per pattern, the largest |B| and the key
+    triples per |B| (p entries), the largest |B| and the key
     min(x, y)*p^2 + max(x, y)*p + z of the lexicographically least triple
     attaining it: per hit cell, the least key over its images
     (s or 1 - s) x (t or 1 - t), the key's min and max taking the swap.
     """
     n = p - 1
-    pattern = np.arange(1 << len(divs))
-    sizes = sum(euler_phi(d) * (pattern >> i & 1) for i, d in enumerate(divs))
     up = [divs.index(d // factorize(d)[0][0]) for d in divs[1:]]  # index of d/l
-    dtype = np.min_scalar_type(pattern[-1])  # uint16 for up to 16 divisors
+    phi = [np.min_scalar_type(n).type(euler_phi(d)) for d in divs]
     res = _neg_residues(p, np.arange(1, (p + 1) // 2 + 1), powg)  # res[i - 1, k] = [-i g^k]_p
-    counts = np.zeros(len(pattern), dtype=np.int64)
+    counts = np.zeros(p, dtype=np.int64)
     best_size, best_key = -1, 0
     rows = _orbit_rows(p)
     for sl in chunk_slices(len(rows[0]), n):
@@ -283,22 +281,19 @@ def _pattern_sweep(p: int, powg: np.ndarray, divs: list[int]) -> tuple[np.ndarra
         fits = [_in_s(res[s - 1], res[t - 1], res[0])]
         for d, i in zip(divs[1:], up):
             fits.append(fits[i].reshape(-1, d // divs[i], n // d).all(axis=1))
-        pats = [f * dtype.type(1 << i) for i, f in enumerate(fits)]
+        sums = [f * phi_d for f, phi_d in zip(fits, phi)]
         del fits
         for d, i in zip(divs[:0:-1], up[::-1]):  # each divisor after its multiples
-            child = pats.pop()
-            pats[i].reshape(-1, d // divs[i], n // d)[...] += child[:, None, :]
-        (mask,) = pats
-        found = sum(w * np.bincount(mask[weight == w].ravel(), minlength=len(counts))
+            child = sums.pop()
+            sums[i].reshape(-1, d // divs[i], n // d)[...] += child[:, None, :]
+        (size,) = sums
+        found = sum(w * np.bincount(size[weight == w].ravel(), minlength=p)
                     for w in (8, 4, 1))
         counts += found
-        top = int(sizes[found > 0].max())
+        top = int(np.flatnonzero(found)[-1])
         if top < best_size:
             continue
-        hit = np.zeros(mask.shape, dtype=bool)
-        for m in np.flatnonzero((sizes == top) & (found > 0)).tolist():
-            hit |= mask == m
-        r, j = np.divmod(np.flatnonzero(hit), n)
+        r, j = np.divmod(np.flatnonzero(size == top), n)
         z = powg[j]
         x, y = s[r] * z % p, t[r] * z % p
         key = min(int((np.minimum(a, b) * p * p + np.maximum(a, b) * p + z).min())
@@ -311,15 +306,15 @@ def _pattern_sweep(p: int, powg: np.ndarray, divs: list[int]) -> tuple[np.ndarra
 def sweep_special(sp: SpecialPrime) -> SweepResult:
     """Classify B for every triple (x/p, y/p; z/p) over a special prime.
 
-    :func:`_pattern_sweep` counts the triples per subgroup pattern, building
-    each subgroup's coset-fit table from its maximal subgroup's (the
-    least-prime recursion) and holding the patterns in the narrowest
-    unsigned dtype, uint16 for up to 16 divisors of p - 1.  It walks one
+    :func:`_pattern_sweep` counts the triples per |B|, building each
+    subgroup's coset-fit table from its maximal subgroup's (the least-prime
+    recursion) and summing phi(d) over the subgroups H_d that fit, in the
+    narrowest unsigned dtype that holds p - 1.  It walks one
     row (s, t) per orbit of the Euler-Pfaff symmetry group, 2 <= s <= t <=
     (p + 1)/2, weighted by the orbit's size, and runs one kernel pass per
     chunk of rows of at most ``arith.CHUNK_CELLS`` cells.  The counts are mapped
-    to shapes through a table built once from the subgroup orders of
-    enumerate_b_shapes; a pattern that matches no shape, or a total other
+    to shapes through a table of |B| built once from the subgroup orders of
+    enumerate_b_shapes; a size that matches no shape, or a total other
     than (p - 2)^2 (p - 1), raises ShapeMismatch.  The sweep's residue table
     holds (p + 1)/2 x (p - 1) uint16 cells, the bytes of (p - 1)^2 bool
     cells, so (p - 1)^2 above ``TABLE_LIMIT`` is refused with ValueError
@@ -329,15 +324,11 @@ def sweep_special(sp: SpecialPrime) -> SweepResult:
     n = p - 1
     check_table_size(n * n, f"special prime p={p}: (p - 1)^2")
     powg, divs = _lattice(p)
-    table = _pattern_table(sp, divs)
+    table = _size_table(sp, divs)
     counts, best_size, best_key = _pattern_sweep(p, powg, divs)
     for m in np.flatnonzero(counts).tolist():
         if m not in table:
-            orders = [d for i, d in enumerate(divs) if m >> i & 1]
-            raise ShapeMismatch(
-                f"B = union of the subgroups of orders {orders} over p={p}"
-                " matches no enumerated shape"
-            )
+            raise ShapeMismatch(f"|B| = {m} over p={p} matches no enumerated shape")
     shape_counts = {
         shape.label(): int(counts[m]) for m, shape in table.items() if counts[m]
     }

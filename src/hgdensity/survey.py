@@ -39,12 +39,17 @@ def fractions_up_to(N: int) -> list[Fraction]:
 
 def _fraction_count(N: int) -> int:
     """``len(fractions_up_to(N))``, the sum of phi(d) over d = 2..N, from a
-    totient sieve of N + 1 entries (refused above ``arith.TABLE_LIMIT``)."""
-    primes = primes_up_to(N)  # refuses the sieve before phi is built
+    totient sieve of N + 1 entries (refused above ``arith.TABLE_LIMIT``).  Only
+    the primes q <= sqrt(N) sieve: a larger q divides n = k q <= N once, where
+    the sieve leaves phi(k) q, so phi(k) is taken off once per such q."""
+    primes = np.array(primes_up_to(N), dtype=np.int32)  # refuses the sieve first
     phi = np.arange(N + 1, dtype=np.int32)  # N < 2^31 once the sieve is accepted
-    for q in primes:
+    k = np.arange(1, math.isqrt(N) + 1)
+    small = int(np.searchsorted(primes, len(k), side="right"))  # the primes <= sqrt(N)
+    for q in primes[:small].tolist():
         phi[q::q] -= phi[q::q] // q
-    return int(phi[2:].sum(dtype=np.int64))
+    large = np.searchsorted(primes, N // k, side="right") - small  # in (sqrt(N), N / k]
+    return int(phi[2:].sum(dtype=np.int64)) - int(phi[k] @ large)
 
 
 def enumerate_params(N: int):

@@ -233,6 +233,15 @@ def test_density_record_refuses_records_that_contradict_themselves():
     for key, value in (("density", "1/7"), ("m", 4), ("phi", 3)):
         with pytest.raises(ValueError, match=r"not \(3, 2, 1/2\)"):
             DensityRecord.from_json(json.dumps(dict(good, **{key: value})))
+    # a float member was once truncated (B = [1.5] read as {1} at m = 30) and
+    # a list or a number in the wrong field raised TypeError
+    thirtieths = json.loads(record(params("1/5", "1/6", "1/3")).to_json())
+    assert thirtieths["m"] == 30
+    for key, value, rec in (("B", [1.5], dict(thirtieths, density="1/8")), ("B", 5, good),
+                            ("B", [True], good), ("a", [1], good), ("a", 0.5, good),
+                            ("density", [0], good), ("m", 3.0, good), ("phi", True, good)):
+        with pytest.raises(ValueError, match="str or int a, b, c, density"):
+            DensityRecord.from_json(json.dumps(dict(rec, **{key: value})))
     # m = 100003 * 100019 * 100043 is refused before phi(m) factors it
     with pytest.raises(ValueError, match="too large"):
         DensityRecord.from_json(json.dumps(dict(good, a="1/100003", b="1/100019", c="2/100043")))

@@ -421,6 +421,26 @@ def test_empirical_horizon_within_the_event_limit_stays_in_its_table_budget(monk
             empirical_bounded(pr, p, lo + p)
 
 
+def test_largest_valuation_profile_stays_in_its_table_budget():
+    # int64 per_k and cumsum arrays and a generator-built tuple once held
+    # 24.6 bytes per valuation, about 400 MiB at the old limit of N near 2^24
+    padic = sys.modules["hgdensity.padic"]
+    limit = sys.modules["hgdensity.arith"].TABLE_LIMIT
+    N = limit // padic._VALUATION_ENTRIES - 1
+    pr = params("1/3", "1/3", "2/3")
+    tracemalloc.start()
+    try:
+        vals = coefficient_valuations(pr, 10007, N).valuations
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(vals) == N + 1 and (min(vals), max(vals)) == (-1, 1)
+    del vals
+    assert peak < 8 * limit, f"traced peak {peak / 2**20:.2f} MiB"
+    with pytest.raises(ValueError, match="valuations up to"):
+        coefficient_valuations(pr, 10007, N + 1)
+
+
 def test_batched_oracle_boundary():
     X, Y, Z = _batch(6)
     for p in (2, 3, 5):

@@ -15,7 +15,6 @@ import pytest
 
 from hgdensity.arith import (
     ResidueSet,
-    euler_phi,
     is_prime,
     modulus_triples,
     normalize_params,
@@ -227,17 +226,43 @@ def test_sweep_agrees_with_the_survey_kernel(p):
 @pytest.mark.parametrize("p", [13, 31, 61, 73])
 def test_pattern_kernel_agrees_with_the_survey_kernel_at_any_prime(p):
     # the kernel needs only a cyclic unit group; at these primes no shape
-    # table applies, distinct subgroup patterns share a size, and at 61 and
-    # 73 the lex-least witness lies in the second pattern of the top size
+    # table applies, distinct unions of subgroups share a size, and at 61
+    # and 73 the lex-least witness lies in the second union of the top size
     assert parse_special_prime(p) is None
     powg, divs = specialcase._lattice(p)
     counts, top, key = specialcase._pattern_sweep(p, powg, divs)
-    hist = Counter()
-    for m in np.flatnonzero(counts).tolist():
-        size = sum(euler_phi(d) for i, d in enumerate(divs) if m >> i & 1)
-        hist[size] += int(counts[m])
+    assert len(counts) == p
+    hist = Counter({m: int(counts[m]) for m in np.flatnonzero(counts).tolist()})
     witness = (key // (p * p), key // p % p, key % p)
     assert (hist, top, witness) == survey_kernel_summary(p)
+
+
+def test_size_table_gives_every_shape_its_own_size():
+    # the sweep tells shapes apart by |B| alone, so at every special prime
+    # below 4097 the shapes' sizes must be distinct
+    primes = [p for p in range(5, 4097) if parse_special_prime(p) is not None]
+    assert len(primes) == 67
+    for p in primes:
+        sp = parse_special_prime(p)
+        table = specialcase._size_table(sp, [d for d in range(1, p) if (p - 1) % d == 0])
+        assert list(table.values()) == enumerate_b_shapes(sp), p
+
+
+def test_pattern_kernel_memory_does_not_grow_with_the_divisors():
+    # p - 1 = 240 has 20 divisors; one bin per subgroup pattern, 2^20 of
+    # them, once peaked at 48.6 MiB at this p; one bin per |B| reads 0.7 MiB
+    p = 241
+    powg, divs = specialcase._lattice(p)
+    assert len(divs) == 20
+    tracemalloc.start()
+    try:
+        counts, top, _ = specialcase._pattern_sweep(p, powg, divs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+    assert int(counts.sum()) == (p - 2) * (p - 2) * (p - 1)
+    assert top == 32
 
 
 # Computed by an independent per-triple coset descent, not by the kernel

@@ -221,6 +221,14 @@ def _timeout(signum, frame):
     raise TimeoutError("slice_dry_run did not return")
 
 
+def test_fraction_count_is_the_totient_sum():
+    # every N = 3..300 against phi(d) counted by gcd; the squares of the
+    # primes up to 17 and N = k q for primes q just above sqrt(N) are all met
+    phi = [0, 0] + [sum(math.gcd(n, d) == 1 for n in range(1, d)) for d in range(2, 301)]
+    for N in range(3, 301):
+        assert survey._fraction_count(N) == sum(phi[: N + 1]), N
+
+
 @pytest.mark.parametrize("kwargs", [{"stride": -3}, {"stride": 0}, {"chunk": 0}])
 def test_dry_run_rejects_nonpositive_stride_and_chunk(kwargs):
     # without validation a negative stride or a zero chunk loops forever: the

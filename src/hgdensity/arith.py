@@ -179,7 +179,7 @@ def primes_up_to(n: int) -> list[int]:
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(2, n + 1) if sieve[i]]
+    return np.flatnonzero(np.frombuffer(sieve, dtype=np.uint8)).tolist()
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:

@@ -4,13 +4,14 @@ Every handler returns its output and :func:`main` prints it once: a str as
 it is, any other value as one line of JSON; ``None`` means the handler wrote
 its own output (the sweep's CSV).  Exit codes: 2 for argument/usage errors,
 1 for violated mathematical hypotheses (e.g. a prime not exceeding the
-modulus), 0 on success.
+modulus), 0 on success, and 0 when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -207,17 +208,22 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         out = args.run(args)
+        if out is not None:  # None: the handler wrote its own output
+            print(out if isinstance(out, str) else json.dumps(out))
+        sys.stdout.flush()
     except HypothesisError as e:
         print(f"hypothesis violated: {e}", file=sys.stderr)
         return 1
     except ValueError as e:
         print(f"invalid arguments: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader of stdout has gone, e.g. `| head`
+        # what is still buffered goes to devnull, not to a traceback at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except OSError as e:  # e.g. an --out or --checkpoint path in a missing directory
         print(f"file error: {e}", file=sys.stderr)
         return 2
-    if out is not None:  # None: the handler wrote its own output
-        print(out if isinstance(out, str) else json.dumps(out))
     return 0
 
 

@@ -82,11 +82,45 @@ def pointwise_condition(params: HGParams, v: int) -> bool:
     return _in_s(_neg_residue(m, A, v), _neg_residue(m, B, v), _neg_residue(m, C, v))
 
 
+def _periodic_le(m: int, C: int, X: int) -> np.ndarray:
+    """Length-m mask ``[-uC]_m <= [-uX]_m`` over all u in [0, m).
+
+    [-uX]_m depends only on u mod m / gcd(X, m), so the mask repeats with
+    period L = lcm(m / gcd(C, m), m / gcd(X, m)), a divisor of m: it is
+    formed on [0, L), ``arith.CHUNK_CELLS`` residues at a time, and copied.
+    The products u (m - X) are steps of one int64 range, below m^2.
+    """
+    L = math.lcm(m // math.gcd(C, m), m // math.gcd(X, m))
+    out = np.empty(m, dtype=bool)
+    for sl in chunk_slices(L, 1):
+        c, x = (np.arange(sl.start * (m - Y), sl.stop * (m - Y), m - Y, dtype=np.int64)
+                for Y in (C, X))
+        c %= m
+        x %= m
+        np.less_equal(c, x, out=out[sl])
+    out.reshape(-1, L)[1:] = out[:L]
+    return out
+
+
+def _pointwise_mask(m: int, A: int, B: int, C: int) -> np.ndarray:
+    """Length-m mask of S: true at the units u with [-uC]_m <= max([-uA]_m, [-uB]_m).
+
+    Never more than two masks of m entries are alive; m > ``TABLE_LIMIT``
+    is refused with ValueError before the first of them is built.
+    """
+    check_table_size(m, "modulus m")
+    S = _periodic_le(m, C, A)
+    S |= _periodic_le(m, C, B)
+    S &= unit_mask(m)
+    return S
+
+
 def _cycle_walk(m: int, A: int, B: int, C: int) -> list[int]:
     """B for the single triple (A/m, B/m; C/m), in increasing order.
 
     S holds the units v with [-vC]_m <= max([-vA]_m, [-vB]_m); a unit u is
-    in B when its whole cyclic subgroup <u> lies inside S.
+    in B when its whole cyclic subgroup <u> lies inside S.  Its mask comes
+    from :func:`_pointwise_mask`, one period per parameter pair.
 
     The walk keeps a working set S' with B <= S' <= S and shrinks it as it
     rules units out.  That is exact because B is closed under powers: a
@@ -106,17 +140,13 @@ def _cycle_walk(m: int, A: int, B: int, C: int) -> list[int]:
     from it.  Only u itself is dropped, which keeps the walk simple.
 
     Numerators outside [1, m - 1] are a ValueError.  The products w * u stay
-    below m^2 and are formed in int64; ``unit_mask`` refuses every m above
-    ``TABLE_LIMIT`` = 2^24 with ValueError, so m^2 <= 2^48.
+    below m^2 and are formed in int64; :func:`_pointwise_mask` refuses every
+    m above ``TABLE_LIMIT`` = 2^24 with ValueError, so m^2 <= 2^48.
     """
     if not 0 < min(A, B, C) <= max(A, B, C) < m:
         raise ValueError(f"numerators must lie in [1, {m - 1}], got {A}, {B}, {C}")
-    units = np.flatnonzero(unit_mask(m))
-    S = np.compress(_in_s(*_neg_residues(m, (A, B, C), units)), units)  # faster than a bool index
-    del units
-    mask = np.zeros(m, dtype=bool)
-    mask[S] = True
-    cand = w = S  # w = cand^k after k steps
+    mask = _pointwise_mask(m, A, B, C)
+    cand = w = np.flatnonzero(mask)  # w = cand^k after k steps
     while len(cand) >= _FILTER_MIN:
         w = w * cand
         w -= w // m * m

@@ -116,15 +116,18 @@ def survey_counts(N: int, workers: int = 1) -> SweepCounts:
     # the CPUs this process may run on (the affinity call is Linux-only)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     processes = min(workers, len(moduli), cpus or 1)
-    distinct: Counter = Counter()
-    equal_ab: Counter = Counter()
+    # keyed by the reduced (numerator, denominator) of |B| / phi: one Fraction
+    # per distinct density is made at the end, not one per (modulus, |B|)
+    tallies = (Counter(), Counter())  # distinct, equal_ab
     with Pool(processes) if processes > 1 else nullcontext() as pool:
         # the large moduli cost the most: hand them out first
         parts = pool.imap_unordered(count, moduli[::-1]) if pool else map(count, moduli)
-        for phi, tallies in parts:  # a triple with a != b stands for (b, a) too
-            for counter, weight, (values, mult) in zip((distinct, equal_ab), (2, 1), tallies):
+        for phi, sizes in parts:  # a triple with a != b stands for (b, a) too
+            for counter, weight, (values, mult) in zip(tallies, (2, 1), sizes):
                 for v, c in zip(values.tolist(), mult.tolist()):
-                    counter[Fraction(v, phi)] += weight * c
+                    g = math.gcd(v, phi)
+                    counter[v // g, phi // g] += weight * c
+    distinct, equal_ab = (Counter({Fraction(*key): c for key, c in t.items()}) for t in tallies)
     result = SweepCounts(N=N, distinct=distinct, equal_ab=equal_ab)
     _COUNT_CACHE[N] = result
     return result

@@ -32,7 +32,7 @@ from hgdensity.arith import (
     unit_mask,
     units_mod,
 )
-from hgdensity.density import bounded_counts, bounded_prime_test, pointwise_condition
+from hgdensity.density import _cycle_walk, bounded_counts, bounded_prime_test, pointwise_condition
 from hgdensity.errors import IntegralParameter, NotAUnit
 
 from oracles import sieve_primes
@@ -295,6 +295,9 @@ def test_oversize_tables_are_refused_before_they_are_built(call, match):
 
 def test_prime_lists():
     assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
+    for n in (0, 1, 2, 3, 10, 499, 10**5):
+        got = primes_up_to(n)
+        assert got == sieve_primes(n) and all(type(p) is int for p in got), n
     assert primes_in_range(10, 30) == [11, 13, 17, 19, 23, 29]
 
 
@@ -400,8 +403,9 @@ def test_chunk_slices_cover_the_rows_within_the_budget(monkeypatch, n, width, ca
 def test_one_chunk_budget_is_invisible(monkeypatch):
     # at 7 cells the digit evaluator takes one prime and a few triples per
     # chunk, the subgroup kernel and the valuation oracle one triple, the
-    # special sweep one row and the dry run 7 indices; every result, and the
-    # verdicts behind the two sweeps that find no mismatch, stay as they are
+    # special sweep one row, the dry run 7 indices and the walk's mask of S 7
+    # residues of a period of 6 to 210; every result, and the verdicts behind
+    # the two sweeps that find no mismatch, stay as they are
     X, Y, Z = modulus_triples(7, 7)
     runs = {
         "criterion": lambda: verify.digit_residue_mismatches(7, 60),
@@ -409,6 +413,9 @@ def test_one_chunk_budget_is_invisible(monkeypatch):
             7, X, Y, Z, primes_in_range(7, 60)).tolist(),
         "zero": lambda: verify.zero_density_mismatches(8),
         "counts": lambda: bounded_counts(8, *modulus_triples(8, 8)).tolist(),
+        "walk": lambda: [_cycle_walk(m, *t) for m, t in [
+            (30, (1, 7, 11)), (30, (11, 13, 25)), (30, (6, 15, 10)), (210, (1, 2, 3)),
+            (210, (70, 42, 15)), (210, (105, 1, 209))]],
         "oracle": lambda: verify.empirical_digit_mismatches(6, 30),
         "survey": lambda: (survey._COUNT_CACHE.clear(), survey.survey_counts(6))[1],
         "special": lambda: specialcase.sweep_special(specialcase.parse_special_prime(23)),

@@ -488,3 +488,23 @@ def test_python_dash_m_runs_the_cli(capsys):
     proc = subprocess.run([sys.executable, "-m", "hgdensity", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv", [["special", "163", "--max-density"], ["sweep", "12"]])
+def test_a_reader_that_closes_stdout_ends_the_run_quietly(argv):
+    # `hgdensity ... | head` closes the pipe while the CLI still writes: a
+    # traceback from main's print and "file error: [Errno 32] Broken pipe"
+    # with exit 2 were seen; the read end here is closed before the child starts
+    import hgdensity
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(hgdensity.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hgdensity", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")

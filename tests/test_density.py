@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import signal
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,7 @@ from hgdensity.density import (
     _cycle_walk,
     _in_s,
     _neg_residues,
+    _pointwise_mask,
     bounded_count,
     bounded_counts,
     bounded_members,
@@ -259,12 +262,12 @@ def _batch(m):
 
 @pytest.mark.parametrize("m", [65521, 65537, 491111])
 def test_pointwise_set_matches_the_fraction_definition(m):
-    # every path forms S with _neg_residue and _in_s, so the pins of one
-    # kernel to another cannot see a fault in S; here it meets the definition
-    # with exact fractional parts.  65521 forms its products in uint32 close
-    # to 2^32 and 65537 in int64; the tables of all units are formed in 4
-    # blocks at 65537 and 22 at 491111, the largest modulus of the
-    # benchmark's query pool
+    # the batched kernel and the scalar paths form S with _neg_residue and
+    # _in_s, so the pins of one kernel to another cannot see a fault in S;
+    # here it meets the definition with exact fractional parts.  65521 forms
+    # its products in uint32 close to 2^32 and 65537 in int64; the tables of
+    # all units are formed in 4 blocks at 65537 and 22 at 491111, the largest
+    # modulus of the benchmark's query pool
     rng = random.Random(m)
     units = np.flatnonzero(unit_mask(m))
     triples = [(m - 1, 1, m - 2), (1, m - 2, m - 1)]
@@ -378,9 +381,23 @@ def test_cycle_walk_dense_b():
     assert walk == units_mod(m)
 
 
-def test_cycle_walk_rejects_moduli_beyond_int64():
+def _timeout(signum, frame):
+    raise TimeoutError("the refusal did not come before the tables were built")
+
+
+@pytest.fixture
+def two_seconds():
+    # a table of m entries built before the refusal takes minutes at these m
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(2)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_cycle_walk_rejects_moduli_beyond_int64(two_seconds):
     # (m - 1)^2 exceeds 2^63 - 1 exactly for m > 3037000500, far above
-    # TABLE_LIMIT, so unit_mask, the walk's first table, refuses every such m
+    # TABLE_LIMIT, so _pointwise_mask refuses every such m before its first table
     assert math.isqrt(2**63 - 1) == 3037000499
     big = 3037000501
     pr = params(Fraction(1, big), Fraction(2, big), Fraction(3, big))
@@ -391,14 +408,68 @@ def test_cycle_walk_rejects_moduli_beyond_int64():
         _cycle_walk(big - 1, 1, 2, 3)
 
 
-def test_cycle_walk_refuses_moduli_beyond_the_table_limit():
-    # m = 997 * 991 * 983 = 971230541: its unit tables alone would take
-    # gigabytes; unit_mask, the walk's first table, refuses it
+def test_cycle_walk_refuses_moduli_beyond_the_table_limit(two_seconds):
+    # m = 997 * 991 * 983 = 971230541: its masks alone would take gigabytes;
+    # _pointwise_mask refuses it before its first table
     pr = params(Fraction(1, 997), Fraction(1, 991), Fraction(1, 983))
     assert pr.m == 971230541
     for call in (bounded_residues, density, record):
         with pytest.raises(ValueError, match="modulus m=971230541 is too large"):
             call(pr)
+
+
+def _mask_triples(kind):
+    """(m, triples) for each kind of period the walk's mask of S meets."""
+    rng = random.Random(kind)
+    if kind == "coprime":  # a = k/97, b = k'/89, c = k''/83: periods 8051 and 7387
+        m = 716539
+        return m, [(rng.randrange(1, 97) * 7387, rng.randrange(1, 89) * 8051,
+                    rng.randrange(1, 83) * 8633) for _ in range(3)]
+    if kind == "shared":  # denominators share factors with m and with each other
+        m, triples = 720720, []
+        while len(triples) < 3:
+            t = tuple(d * rng.randrange(1, m // d) for d in rng.sample((8, 9, 10, 21, 143), 3))
+            if math.gcd(*t, m) == 1:
+                triples.append(t)
+        return m, triples
+    # c has denominator m, so L = m: 11 blocks of arith.CHUNK_CELLS
+    m = 716539
+    return m, [(7387 * 5, 8051 * 3, 12345)]
+
+
+@pytest.mark.parametrize("kind", ["coprime", "shared", "full period"])
+def test_walk_mask_of_s_matches_the_fraction_definition(kind):
+    # the walk forms S from one period per parameter pair, not from
+    # _neg_residues: pin it to exact fractional parts on sampled units, and
+    # as a whole to _in_s over every unit
+    m, triples = _mask_triples(kind)
+    units = np.flatnonzero(unit_mask(m))
+    rng = random.Random(m)
+    for X in triples:
+        assert all(0 < x < m for x in X) and math.gcd(*X, m) == 1, X
+        S = _pointwise_mask(m, *X)
+        assert S.shape == (m,) and not S[~unit_mask(m)].any(), X
+        assert np.array_equal(S[units], _in_s(*_neg_residues(m, X, units))), X
+        a, b, c = (Fraction(x, m) for x in X)
+        for u in [1, int(units[-1])] + rng.sample(units.tolist(), 300):
+            assert S[u] == brute_in_s(a, b, c, u), (m, X, u)
+
+
+def test_walk_mask_of_s_stays_under_56_mib_near_the_table_limit():
+    # at m = 2^24 - 3, a prime, (1, 2, 3) has period m in both pairs; a unit
+    # list and (3, phi) residue table in place of the masks take 352 MiB traced
+    m = 16777213
+    assert is_prime(m)
+    tracemalloc.start()
+    try:
+        S = _pointwise_mask(m, 1, 2, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 56 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+    a, b, c = (Fraction(x, m) for x in (1, 2, 3))
+    for u in random.Random(m).sample(range(1, m), 200):
+        assert S[u] == brute_in_s(a, b, c, u), u
 
 
 def test_bounded_counts_chunking_is_invisible(monkeypatch):

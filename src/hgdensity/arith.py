@@ -169,22 +169,29 @@ def check_prime(p: int):
         raise HypothesisError(f"p={p} is not prime")
 
 
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by sieve, of n + 1 bytes: n >= ``TABLE_LIMIT`` is a ValueError."""
+def _prime_array(n: int) -> np.ndarray:
+    """All primes <= n as an int64 array, by a sieve of n + 1 bytes that is
+    refused first: n >= ``TABLE_LIMIT`` is a ValueError."""
     if n < 2:
-        return []
+        return np.empty(0, dtype=np.int64)
     check_table_size(n + 1, "sieve for primes up to n, entries")
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return np.flatnonzero(np.frombuffer(sieve, dtype=np.uint8)).tolist()
+    return np.flatnonzero(np.frombuffer(sieve, dtype=np.uint8)).astype(np.int64, copy=False)
+
+
+def primes_up_to(n: int) -> list[int]:
+    """All primes <= n, from :func:`_prime_array`."""
+    return _prime_array(n).tolist()
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
     """Primes p with lo < p < hi."""
-    return [p for p in primes_up_to(hi - 1) if p > lo]
+    primes = _prime_array(hi - 1)
+    return primes[primes > lo].tolist()
 
 
 @dataclass(frozen=True)

@@ -341,11 +341,12 @@ def empirical_bounded_batch(m: int, X, Y, Z, p: int, N: int) -> np.ndarray:
     t in 1..m therefore sit on the class k = -t/m mod p, one per block of p
     consecutive k, and distinct numerators have distinct classes.  One
     table of class valuations per (m, p) gives any triple's events: per
-    block, the rows X, Y, -Z and -m in the order of their class residues,
-    with equal numerators merged into one event as :func:`_valuation_deltas`
-    collapses repeated positions.  A running sum gives the coefficient
+    block, the rows X, Y, -Z and -m in the order of their class residues
+    (:func:`_class_layout`).  A running sum gives the coefficient
     valuations, and :func:`_descents` the verdict.  (X, Y, Z) and (Y, X, Z)
-    are evaluated once.
+    are evaluated once.  The layout depends on p only through p mod m, so a
+    sweep over many primes builds it once per class and runs only the
+    per-prime pass, :func:`_layout_bounded`, at each prime.
 
     Only the super-blocks (p consecutive blocks) that can change a verdict
     are evaluated, and in them only such blocks.  A super-block is regular
@@ -378,7 +379,7 @@ def empirical_bounded_batch(m: int, X, Y, Z, p: int, N: int) -> np.ndarray:
 
     One table covers every super-block, plus the padding one; a horizon
     whose table would exceed ``arith.TABLE_LIMIT`` entries is refused with
-    ValueError before anything is built, as every residue table is.
+    ValueError before the table is built, as every residue table is.
     Triples go in chunks of at most ``arith.CHUNK_CELLS`` cells, or one
     triple where one needs more; a chunk's int64 gather index dies before
     its events are weighed, so the largest temporaries are that index and
@@ -392,22 +393,45 @@ def empirical_bounded_batch(m: int, X, Y, Z, p: int, N: int) -> np.ndarray:
     if p <= m:
         raise PrimeTooSmall(f"p={p} must exceed the modulus m={m}")
     X, Y, Z = check_numerators(m, X, Y, Z)
-    supers = -(-N // (p * p))
-    check_table_size((m + 1) * (supers + 1) * p, f"class table for N={N} at p={p}: entries")
-    # v_p of coefficient n sums, over the levels p^i <= m N, four counts of
-    # k < n on one class mod p^i, each floor(n / p^i) or one more; the table
-    # limit keeps m N below 2^24 p, so at most 25 levels, and int8 holds it
+    return _layout_bounded(m, _class_layout(m, X, Y, Z, p % m), p, N)
+
+
+def _class_layout(m: int, X, Y, Z, r: int):
+    """The event rows of :func:`empirical_bounded_batch` at every prime p = r mod m.
+
+    Returns (nums, weights, inverse).  Row i of ``nums`` holds the numerators
+    X, Y, Z and the factorial's m of the i-th distinct triple, up to the swap
+    of X and Y, in the order of their classes k = -t/m mod p; ``weights``
+    holds their weights 1, 1, -1, -1, with equal numerators merged into the
+    later one as :func:`_valuation_deltas` collapses repeated positions; and
+    ``inverse`` maps each given triple to its row.  The least k of the class
+    of t in 1..m is (j p - t) / m, with j = t / p mod m taken in [1, m], and
+    t < p, so the class order is by j, then by -t: it depends on p only
+    through r.
+    """
     key, inverse = np.unique((np.minimum(X, Y) * m + np.maximum(X, Y)) * m + Z,
                              return_inverse=True)
     nums = np.stack((key // (m * m), key // m % m, key % m, np.full_like(key, m)), axis=1)
     weights = np.broadcast_to(np.array([1, 1, -1, -1], dtype=np.int8), nums.shape)
-    order = np.argsort((-nums * pow(m, -1, p)) % p, axis=1)
+    order = np.argsort((nums * pow(r, -1, m) - 1) % m * m - nums, axis=1)
     nums = np.take_along_axis(nums, order, axis=1)
     weights = np.take_along_axis(weights, order, axis=1)
     for i in range(3):  # merge equal neighbours into the later one
         same = nums[:, i] == nums[:, i + 1]
         weights[same, i + 1] += weights[same, i]
         weights[same, i] = 0
+    return nums, weights, inverse
+
+
+def _layout_bounded(m: int, layout, p: int, N: int) -> np.ndarray:
+    """:func:`empirical_bounded_batch` at the prime p > m and horizon N >= 1,
+    from the :func:`_class_layout` of p's class mod m; neither is checked."""
+    nums, weights, inverse = layout
+    supers = -(-N // (p * p))
+    check_table_size((m + 1) * (supers + 1) * p, f"class table for N={N} at p={p}: entries")
+    # v_p of coefficient n sums, over the levels p^i <= m N, four counts of
+    # k < n on one class mod p^i, each floor(n / p^i) or one more; the table
+    # limit keeps m N below 2^24 p, so at most 25 levels, and int8 holds it
     # super-block `supers` lies past N, so it is all 0
     table = _class_valuations(m, p, N, (supers + 1) * p)
     grid = table.reshape(m + 1, supers + 1, p)[:, :supers]
@@ -420,8 +444,8 @@ def empirical_bounded_batch(m: int, X, Y, Z, p: int, N: int) -> np.ndarray:
     nonplain = p - np.count_nonzero(plain[1:], axis=1).min()
     width = 4 * min(supers, 12 * irregular + 2) * min(p, 12 * nonplain + 2)
     table = table.ravel()
-    unbounded = np.zeros(len(key), dtype=bool)
-    for sl in chunk_slices(len(key), width):
+    unbounded = np.zeros(len(nums), dtype=bool)
+    for sl in chunk_slices(len(nums), width):
         sel = _first_two_of_runs(regular[nums[sl]].all(axis=1))
         blk = _first_two_of_runs(plain[nums[sl]].all(axis=1))
         # one flat index in (super-block, block, row) order, built as

@@ -22,8 +22,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .arith import (check_int, check_rational, chunk_slices, euler_phi, modulus_triples,
-                    primes_up_to)
+from .arith import _prime_array, check_int, check_rational, chunk_slices, euler_phi, modulus_triples
 # bounded_count is not called here; it stays importable from this module
 # because perfbench/probes.py rebinds survey.bounded_count for its spans
 from .density import bounded_count, bounded_counts  # noqa: F401
@@ -42,7 +41,7 @@ def _fraction_count(N: int) -> int:
     totient sieve of N + 1 entries (refused above ``arith.TABLE_LIMIT``).  Only
     the primes q <= sqrt(N) sieve: a larger q divides n = k q <= N once, where
     the sieve leaves phi(k) q, so phi(k) is taken off once per such q."""
-    primes = np.array(primes_up_to(N), dtype=np.int32)  # refuses the sieve first
+    primes = _prime_array(N)  # refuses the sieve first
     phi = np.arange(N + 1, dtype=np.int32)  # N < 2^31 once the sieve is accepted
     k = np.arange(1, math.isqrt(N) + 1)
     small = int(np.searchsorted(primes, len(k), side="right"))  # the primes <= sqrt(N)

@@ -1,17 +1,22 @@
 """Bulk cross-checks between the digit criterion, the residue-class formula
 and the coefficient valuations.
 
-Each sweep covers every parameter triple of one modulus m.  The digit
-criterion is evaluated for all triples and all primes at once, with one
-table of digit residues per class of p mod m; the valuation oracle for all
-triples at once, one prime at a time; and B comes from one batched
-:mod:`density` kernel call per modulus.  Mismatches are returned as tuples
-of Python ints in (X, Y, Z, p) order.  The sweeps are cheap enough for
-every modulus m <= 30 and safe to fan out across processes; each rejects a
-modulus that is not an int >= 2 and a prime limit that is not an int, and
-refuses with ValueError, before it is built, a table of triples, a prime
-sieve or a (triples, primes) verdict array above ``arith.TABLE_LIMIT``
-entries.
+Each sweep covers every parameter triple of one modulus m.  All three
+verdicts are symmetric in a and b: 2F1(a, b; c) = 2F1(b, a; c), S takes
+the larger of [-uA]_m and [-uB]_m, and the digit criterion the larger of
+a_j and b_j.  So each unordered {a, b} is evaluated once, on the triples
+with X <= Y, and a mismatch (X, Y, Z) is reported with its mirror
+(Y, X, Z) when X != Y.  The digit criterion is evaluated for all triples
+and all primes at once, with one table of digit residues per class of p
+mod m; the valuation oracle for all triples at once, with one class layout
+per class of p mod m and one pass per prime; and B comes from one batched
+:mod:`density` kernel call per modulus.  Mismatches are returned sorted,
+as tuples of Python ints in (X, Y, Z, p) order.  The sweeps are cheap
+enough for every modulus m <= 30 and safe to fan out across processes;
+each rejects a modulus that is not an int >= 2 and a prime limit that is
+not an int, and refuses with ValueError, before it is built, a table of
+triples, a prime sieve or a (triples, primes) verdict array above
+``arith.TABLE_LIMIT`` entries, counting every ordered triple.
 """
 
 from __future__ import annotations
@@ -20,12 +25,12 @@ import math
 
 import numpy as np
 
-from .arith import (check_int, check_table_size, chunk_slices, mod_order, modulus_triples,
-                    primes_in_range)
+from .arith import (_prime_array, check_int, check_table_size, chunk_slices, mod_order,
+                    modulus_triples)
 from .density import bounded_counts, bounded_members
 # empirical_bounded is not called here; it stays importable from this module
 # because perfbench/probes.py rebinds verify.empirical_bounded for its spans
-from .padic import empirical_bounded, empirical_bounded_batch  # noqa: F401
+from .padic import _class_layout, _layout_bounded, empirical_bounded  # noqa: F401
 
 
 def params_with_modulus(m: int):
@@ -91,26 +96,38 @@ def _digit_bounded(m: int, X, Y, Z, primes, flip=None) -> np.ndarray:
     return out
 
 
+def _mirrored(X, Y, Z, *rest) -> list[tuple]:
+    """The rows (X, Y, Z, *rest), and (Y, X, Z, *rest) where X != Y, as sorted
+    tuples of Python ints."""
+    swap = X != Y
+    pairs = ((X, Y), (Y, X), (Z, Z), *((r, r) for r in rest))
+    cols = (np.concatenate((a, b[swap])) for a, b in pairs)
+    return sorted(zip(*(c.tolist() for c in cols)))
+
+
 def _mismatches(X, Y, Z, primes, bad) -> list[tuple]:
-    """The sorted (X, Y, Z, p) tuples of the cells where ``bad[t, k]`` is true."""
+    """The (X, Y, Z, p) tuples of the cells where ``bad[t, k]`` is true, mirrored."""
     t, k = np.nonzero(bad)
-    return sorted(zip(X[t].tolist(), Y[t].tolist(), Z[t].tolist(), primes[k].tolist()))
+    return _mirrored(X[t], Y[t], Z[t], primes[k])
 
 
 def _sweep_cases(m, prime_limit=0):
-    """(X, Y, Z, primes): the triples of modulus m and the primes m < p < prime_limit.
+    """(X, Y, Z, primes): the triples of modulus m with X <= Y and the primes
+    m < p < prime_limit.
 
     ValueError for a modulus that is not an int >= 2 or a non-int prime
-    limit, and, before it is built, for a bool (triples, primes) verdict
-    array above ``arith.TABLE_LIMIT`` cells.
+    limit, and, before it is built, for a bool verdict array above
+    ``arith.TABLE_LIMIT`` cells, counted over the ordered triples.
     """
     check_int(m, "modulus m", 2)
     check_int(prime_limit, "prime_limit")
     X, Y, Z = modulus_triples(m, m)
-    primes = np.array(primes_in_range(m, prime_limit), dtype=np.int64)
+    primes = _prime_array(prime_limit - 1)
+    primes = primes[primes > m]
     check_table_size(len(Z) * len(primes), f"verdicts of modulus m={m} at primes "
                      f"below {prime_limit}: cells")
-    return X, Y, Z, primes
+    half = X <= Y
+    return X[half], Y[half], Z[half], primes
 
 
 def digit_residue_mismatches(m: int, prime_limit: int = 500) -> list[tuple]:
@@ -132,14 +149,19 @@ def empirical_digit_mismatches(m: int, prime_limit: int = 50) -> list[tuple]:
 
     For every triple of modulus m and prime m < p < prime_limit, compares
     the valuation-oracle verdict over the coefficients up to p^3 (the rule
-    of :func:`padic.empirical_bounded`, evaluated for all triples at once by
-    :func:`padic.empirical_bounded_batch`) with the digit-criterion verdict.
-    Returns mismatching (X, Y, Z, p).
+    of :func:`padic.empirical_bounded`, evaluated for all triples at once as
+    :func:`padic.empirical_bounded_batch` does, from one class layout per
+    class of p mod m) with the digit-criterion verdict.  Returns mismatching
+    (X, Y, Z, p).
     """
     X, Y, Z, primes = _sweep_cases(m, prime_limit)
     bad = _digit_bounded(m, X, Y, Z, primes)
-    for k, p in enumerate(primes.tolist()):
-        bad[:, k] ^= empirical_bounded_batch(m, X, Y, Z, p, p**3)
+    classes = primes % m
+    for r in set(classes.tolist()):
+        layout = _class_layout(m, X, Y, Z, r)
+        for k in np.flatnonzero(classes == r).tolist():
+            p = int(primes[k])
+            bad[:, k] ^= _layout_bounded(m, layout, p, p**3)
     return _mismatches(X, Y, Z, primes, bad)
 
 
@@ -148,7 +170,8 @@ def zero_density_mismatches(m: int) -> list[tuple]:
 
     On the numerators, c is strictly the smallest parameter exactly when
     Z < X and Z < Y, the form :func:`density.zero_density_criterion` takes.
+    Returned sorted, that is in lexicographic order.
     """
     X, Y, Z, _ = _sweep_cases(m)
     bad = (bounded_counts(m, X, Y, Z) == 0) != ((Z < X) & (Z < Y))
-    return list(zip(X[bad].tolist(), Y[bad].tolist(), Z[bad].tolist()))
+    return _mirrored(X[bad], Y[bad], Z[bad])

@@ -279,13 +279,16 @@ _HUGE = [
     "zero_density_mismatches", "digit_residue_mismatches-sieve",
     "digit_residue_mismatches-verdicts", "empirical_digit_mismatches-verdicts",
     "coefficient_valuations", "u_interval_decomposition"])
-def test_oversize_tables_are_refused_before_they_are_built(call, match):
+def test_oversize_tables_are_refused_before_they_are_built(call, match, deadline):
     # each would take from tens of MiB to many GiB: m = 1000 asks for a
     # 999^3 keep table, 10^10 for a 10 GB sieve, 20 and 30,000 for 18.0M
-    # (triple, prime) verdicts
+    # (triple, prime) verdicts, which the sweeps must count before they
+    # halve them to the triples with X <= Y (9.4M, under the limit); a
+    # refusal that comes too late fails on the deadline instead of running
+    # for minutes
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=match):
+        with deadline(5, match), pytest.raises(ValueError, match=match):
             call()
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -6,7 +6,6 @@ import io
 import json
 import os
 import shlex
-import signal
 import subprocess
 import sys
 import tracemalloc
@@ -432,15 +431,12 @@ _FUZZ_SECONDS = 30  # the slowest example, special at p < 300, takes under 1 s
 @example(["special", "19", "--max-density"])
 @example(["quad", "uset", "0", "0"])
 @example(["quad", "intersect", "2", "3", "0"])
-def test_cli_fuzz_exits_cleanly(argv):
-    def hang(signum, frame):
-        raise TimeoutError(f"{argv} ran past {_FUZZ_SECONDS} s")
-
+def test_cli_fuzz_exits_cleanly(deadline, argv):
     out, err = io.StringIO(), io.StringIO()
-    previous = signal.signal(signal.SIGALRM, hang)
-    signal.alarm(_FUZZ_SECONDS)  # a hang fails with its argv
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # a hang fails with its argv
+        with deadline(_FUZZ_SECONDS, argv), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
             code = main(argv)
     except SystemExit as e:  # argparse: usage line(s), then one error line
         assert e.code == 2, argv
@@ -448,9 +444,6 @@ def test_cli_fuzz_exits_cleanly(argv):
         assert lines and ": error: " in lines[-1], argv
         assert "Traceback" not in err.getvalue()
         return
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert code in (0, 1, 2), argv
     if code:
         assert err.getvalue().count("\n") == 1, (argv, err.getvalue())

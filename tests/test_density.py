@@ -3,7 +3,6 @@
 import json
 import math
 import random
-import signal
 import tracemalloc
 from fractions import Fraction
 
@@ -381,41 +380,30 @@ def test_cycle_walk_dense_b():
     assert walk == units_mod(m)
 
 
-def _timeout(signum, frame):
-    raise TimeoutError("the refusal did not come before the tables were built")
-
-
-@pytest.fixture
-def two_seconds():
-    # a table of m entries built before the refusal takes minutes at these m
-    previous = signal.signal(signal.SIGALRM, _timeout)
-    signal.alarm(2)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
-def test_cycle_walk_rejects_moduli_beyond_int64(two_seconds):
+def test_cycle_walk_rejects_moduli_beyond_int64(deadline):
     # (m - 1)^2 exceeds 2^63 - 1 exactly for m > 3037000500, far above
-    # TABLE_LIMIT, so _pointwise_mask refuses every such m before its first table
+    # TABLE_LIMIT, so _pointwise_mask refuses every such m before its first
+    # table; a table of m entries built first would take minutes
     assert math.isqrt(2**63 - 1) == 3037000499
     big = 3037000501
     pr = params(Fraction(1, big), Fraction(2, big), Fraction(3, big))
-    for call in (bounded_residues, density, record):
-        with pytest.raises(ValueError, match=f"modulus m={big} is too large"):
-            call(pr)
-    with pytest.raises(ValueError, match="too large"):
-        _cycle_walk(big - 1, 1, 2, 3)
+    with deadline(2, "the refusal of m beyond int64"):
+        for call in (bounded_residues, density, record):
+            with pytest.raises(ValueError, match=f"modulus m={big} is too large"):
+                call(pr)
+        with pytest.raises(ValueError, match="too large"):
+            _cycle_walk(big - 1, 1, 2, 3)
 
 
-def test_cycle_walk_refuses_moduli_beyond_the_table_limit(two_seconds):
+def test_cycle_walk_refuses_moduli_beyond_the_table_limit(deadline):
     # m = 997 * 991 * 983 = 971230541: its masks alone would take gigabytes;
     # _pointwise_mask refuses it before its first table
     pr = params(Fraction(1, 997), Fraction(1, 991), Fraction(1, 983))
     assert pr.m == 971230541
-    for call in (bounded_residues, density, record):
-        with pytest.raises(ValueError, match="modulus m=971230541 is too large"):
-            call(pr)
+    with deadline(2, "the refusal of m beyond the table limit"):
+        for call in (bounded_residues, density, record):
+            with pytest.raises(ValueError, match="modulus m=971230541 is too large"):
+                call(pr)
 
 
 def _mask_triples(kind):

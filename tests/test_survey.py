@@ -6,7 +6,6 @@ import json
 import math
 import os
 import random
-import signal
 import subprocess
 import sys
 import tracemalloc
@@ -200,25 +199,16 @@ def test_dry_run_counts_exactly():
     assert rep.completed
 
 
-def test_dry_run_counts_the_fractions_without_making_them():
+def test_dry_run_counts_the_fractions_without_making_them(deadline):
     # the count once came from len(fractions_up_to(N)), N^2 / 2 Fractions
     # made before the first progress line: about 4 s and 39 MiB at N = 1000
     for N in range(2, 64):
         assert survey._fraction_count(N) == len(survey.fractions_up_to(N))
-    previous = signal.signal(signal.SIGALRM, _timeout)
-    signal.alarm(1)
-    try:
+    with deadline(1, "slice_dry_run"):
         rep = survey.slice_dry_run(1000, stride=10**9, max_chunks=1)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert (rep.sampled, rep.valid, rep.completed) == (1, 0, False)
     with pytest.raises(ValueError, match="too large"):
         survey.slice_dry_run(1 << 24)
-
-
-def _timeout(signum, frame):
-    raise TimeoutError("slice_dry_run did not return")
 
 
 def test_fraction_count_is_the_totient_sum():
@@ -230,17 +220,11 @@ def test_fraction_count_is_the_totient_sum():
 
 
 @pytest.mark.parametrize("kwargs", [{"stride": -3}, {"stride": 0}, {"chunk": 0}])
-def test_dry_run_rejects_nonpositive_stride_and_chunk(kwargs):
+def test_dry_run_rejects_nonpositive_stride_and_chunk(kwargs, deadline):
     # without validation a negative stride or a zero chunk loops forever: the
-    # alarm turns a hang into a failure
-    previous = signal.signal(signal.SIGALRM, _timeout)
-    signal.alarm(10)
-    try:
-        with pytest.raises(ValueError, match="must be >= 1"):
-            survey.slice_dry_run(8, **kwargs)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    # deadline turns a hang into a failure
+    with deadline(10, "slice_dry_run"), pytest.raises(ValueError, match="must be >= 1"):
+        survey.slice_dry_run(8, **kwargs)
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,10 @@ since gcd(Z - X, Y, Z, m) = gcd(X, Y, Z, m).  Each kernel is checked
 against itself on the images, so the check shares no code with any other
 kernel.  Three maps that are not symmetries must change |B| somewhere, so
 the checks cannot pass vacuously.
+
+The swap (X, Y, Z) -> (Y, X, Z), from 2F1(a, b; c) = 2F1(b, a; c), is a
+third map for the kernels of the verification sweeps, which evaluate each
+unordered {a, b} once and report its mirror.
 """
 
 import json
@@ -17,8 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from hgdensity import verify
 from hgdensity.arith import modulus_triples, normalize_params, primes_in_range, units_mod
 from hgdensity.density import _cycle_walk, bounded_counts, bounded_members
+from hgdensity.padic import empirical_bounded_batch
 from hgdensity.verify import _digit_bounded
 
 QUERIES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -33,6 +39,10 @@ def pfaff(m, X, Y, Z):
     return X, (Z - Y) % m, Z
 
 
+def swap(m, X, Y, Z):
+    return Y, X, Z
+
+
 SYMMETRIES = (euler, pfaff)
 
 
@@ -41,7 +51,7 @@ def test_bounded_members_is_invariant_at_every_modulus_up_to_30():
         X, Y, Z = modulus_triples(m, m)
         units = units_mod(m)
         want = bounded_members(m, X, Y, Z, units)
-        for f in SYMMETRIES:
+        for f in (*SYMMETRIES, swap):
             assert np.array_equal(bounded_members(m, *f(m, X, Y, Z), units), want), (m, f.__name__)
 
 
@@ -80,8 +90,32 @@ def test_digit_criterion_is_invariant_at_every_modulus_up_to_20():
         X, Y, Z = modulus_triples(m, m)
         primes = primes_in_range(m, 500)
         want = _digit_bounded(m, X, Y, Z, primes)
-        for f in SYMMETRIES:
+        for f in (*SYMMETRIES, swap):
             assert np.array_equal(_digit_bounded(m, *f(m, X, Y, Z), primes), want), (m, f.__name__)
+
+
+def test_valuation_oracle_is_invariant_under_the_swap_at_every_modulus_up_to_10():
+    for m in range(3, 11):
+        X, Y, Z = modulus_triples(m, m)
+        for p in primes_in_range(m, 50):
+            want = empirical_bounded_batch(m, X, Y, Z, p, p**3)
+            assert np.array_equal(empirical_bounded_batch(m, Y, X, Z, p, p**3), want), (m, p)
+
+
+def test_oracle_sweep_is_the_verdicts_of_every_ordered_triple():
+    # the sweep evaluates the triples with X <= Y, from one layout per class
+    # of p mod m, and mirrors what it finds; here every ordered triple is
+    # evaluated by the public kernels, one call per prime
+    for m in range(3, 13):
+        X, Y, Z = modulus_triples(m, m)
+        primes = primes_in_range(m, 50)
+        bad = _digit_bounded(m, X, Y, Z, primes)
+        for k, p in enumerate(primes):
+            bad[:, k] ^= empirical_bounded_batch(m, X, Y, Z, p, p**3)
+        t, k = np.nonzero(bad)
+        want = sorted(zip(X[t].tolist(), Y[t].tolist(), Z[t].tolist(),
+                          np.array(primes)[k].tolist()))
+        assert want and verify.empirical_digit_mismatches(m) == want, m
 
 
 def test_other_reflections_are_no_symmetry():

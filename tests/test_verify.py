@@ -25,44 +25,59 @@ def test_zero_density_criterion_is_the_numerator_form():
             assert zero_density_criterion(params) == (Z < X and Z < Y), (X, Y, Z, m)
 
 
-def test_criterion_sweep_reports_every_disagreement(monkeypatch):
-    # flip B-membership for every triple at one prime and for one triple at
-    # another; the sweep must report exactly those (triple, prime) pairs
-    m, limit = 12, 120
-    primes = primes_in_range(m, limit)
-    k, cell = primes.index(37), (5, primes.index(61))
-    triples = list(verify.params_with_modulus(m))
-    real = verify.bounded_members
+def _row(X, Y, Z, triple):
+    """The one row of the sweep's arrays that holds ``triple``."""
+    (t,) = np.flatnonzero((X == triple[0]) & (Y == triple[1]) & (Z == triple[2]))
+    return t
 
-    def flipped(*args):
-        got = real(*args)
+
+def _flip_each_prime_and_cells(real, k, cells):
+    """``real`` with every verdict at prime index k flipped, and each
+    (triple, prime index) of ``cells``; the sweep passes (m, X, Y, Z, primes)."""
+    def flipped(m, X, Y, Z, *args, **kwargs):
+        got = real(m, X, Y, Z, *args, **kwargs)
         got[:, k] ^= True
-        got[cell] ^= True
+        for triple, q in cells:
+            got[_row(X, Y, Z, triple), q] ^= True
         return got
 
-    monkeypatch.setattr(verify, "bounded_members", flipped)
-    want = sorted([(*t, 37) for t in triples] + [(*triples[cell[0]], 61)])
+    return flipped
+
+
+# (1, 5, 7) and (5, 1, 7) share one row of the sweep, which evaluates each
+# unordered {X, Y} once; (7, 7, 1) has no mirror.  A flip at one prime must
+# reach every ordered triple, a flip of a row with X < Y both orders, and a
+# flip of a row with X = Y one tuple.
+_FLIPPED = [((1, 5, 7), 61), ((7, 7, 1), 61)]
+_REPORTED = [(1, 5, 7, 61), (5, 1, 7, 61), (7, 7, 1, 61)]
+
+
+def test_criterion_sweep_reports_every_disagreement(monkeypatch):
+    # flip B-membership for every triple at 37 and for the named rows at 61;
+    # the sweep must report exactly those (triple, prime) pairs, mirrored
+    m, limit = 12, 120
+    primes = primes_in_range(m, limit)
+    triples = list(verify.params_with_modulus(m))
+    cells = [(t, primes.index(p)) for t, p in _FLIPPED]
+    monkeypatch.setattr(verify, "bounded_members", _flip_each_prime_and_cells(
+        verify.bounded_members, primes.index(37), cells))
+    want = sorted([(*t, 37) for t in triples] + _REPORTED)
     got = verify.digit_residue_mismatches(m, limit)
     assert got == want
     assert all(type(v) is int for row in got for v in row)
 
 
 def test_criterion_sweep_reports_every_digit_disagreement(monkeypatch):
-    # the mirror of the test above, on the digit side of the sweep
+    # the mirror of the test above, on the digit side of the sweep, with an
+    # X < Y row and an X = Y row at 97
     m, limit = 12, 120
     primes = primes_in_range(m, limit)
-    k, cell = primes.index(43), (17, primes.index(97))
     triples = list(verify.params_with_modulus(m))
-    real = verify._digit_bounded
-
-    def flipped(*args, **kwargs):
-        got = real(*args, **kwargs)
-        got[:, k] ^= True
-        got[cell] ^= True
-        return got
-
-    monkeypatch.setattr(verify, "_digit_bounded", flipped)
-    want = sorted([(*t, 43) for t in triples] + [(*triples[cell[0]], 97)])
+    cells = [((5, 11, 1), primes.index(97)), ((5, 5, 1), primes.index(97))]
+    monkeypatch.setattr(verify, "_digit_bounded", _flip_each_prime_and_cells(
+        verify._digit_bounded, primes.index(43), cells))
+    want = sorted([(*t, 43) for t in triples]
+                  + [(5, 11, 1, 97), (11, 5, 1, 97), (5, 5, 1, 97)])
     got = verify.digit_residue_mismatches(m, limit)
     assert got == want
     assert all(type(v) is int for row in got for v in row)
@@ -70,16 +85,17 @@ def test_criterion_sweep_reports_every_digit_disagreement(monkeypatch):
 
 def test_oracle_sweep_reports_a_flipped_prime(monkeypatch):
     # flipping every oracle verdict at one prime turns the mismatches there
-    # into their complement and leaves every other prime's alone
+    # into their complement over every ordered triple and leaves every other
+    # prime's alone
     m, p = 5, 29
     before = verify.empirical_digit_mismatches(m)
-    real = verify.empirical_bounded_batch
+    real = verify._layout_bounded
 
-    def flipped(m, X, Y, Z, q, N):
-        got = real(m, X, Y, Z, q, N)
+    def flipped(m, layout, q, N):
+        got = real(m, layout, q, N)
         return ~got if q == p else got
 
-    monkeypatch.setattr(verify, "empirical_bounded_batch", flipped)
+    monkeypatch.setattr(verify, "_layout_bounded", flipped)
     after = verify.empirical_digit_mismatches(m)
     at_p = {t[:3] for t in before if t[3] == p}
     assert 0 < len(at_p) and {t for t in before if t[3] != p} == {t for t in after if t[3] != p}

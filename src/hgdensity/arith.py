@@ -308,9 +308,13 @@ def check_int_array(values, name: str) -> np.ndarray:
 def check_numerators(m: int, X, Y, Z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(X, Y, Z) as int64 arrays, the numerators of triples (X[t]/m, Y[t]/m; Z[t]/m).
 
-    ValueError unless they pass :func:`check_int_array` and are 1-d of one
-    length with every entry in [1, m - 1].
+    ValueError first unless m is an int in [2, ``TABLE_LIMIT``], the moduli
+    every batched kernel takes; then unless the numerators pass
+    :func:`check_int_array` and are 1-d of one length with every entry in
+    [1, m - 1].
     """
+    check_int(m, "modulus m", 2)
+    check_table_size(m, "modulus m")
     X, Y, Z = (check_int_array(v, "numerators") for v in (X, Y, Z))
     if not X.shape == Y.shape == Z.shape == (len(Z),):
         raise ValueError(f"numerators must be 1-d of one length, got "
@@ -351,9 +355,12 @@ def modulus_triples(m: int, height: int) -> tuple[np.ndarray, np.ndarray, np.nda
 
     The lcm of the denominators is m exactly when no prime of m divides all of
     X, Y and Z: a cell is kept when the AND of their prime bitmasks is 0.
-    An m above ``TABLE_LIMIT``, or a table of n^3 cells above it (n the
+    ValueError for an m or a height that is not an int and for an m below 2;
+    an m above ``TABLE_LIMIT``, or a table of n^3 cells above it (n the
     numerators kept), is refused with ValueError before it is built.
     """
+    check_int(m, "modulus m", 2)
+    check_int(height, "height")
     check_table_size(m, "modulus m")
     x = np.arange(1, m, dtype=np.int64)
     x = x[m // np.gcd(x, m) <= height]

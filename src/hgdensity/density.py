@@ -274,9 +274,8 @@ def _subgroup_chunks(m: int, A, B, C):
     whether subgroup h of ``plan`` lies inside S for triple t of the chunk.
     Chunks hold at most ``arith.CHUNK_CELLS`` (triple, unit) cells; within a
     chunk, the residue row of each distinct numerator is formed once and
-    gathered per triple.  Numerators outside [1, m - 1] are a ValueError.
+    gathered per triple.  The caller has checked m and the numerators.
     """
-    A, B, C = check_numerators(m, A, B, C)
     if len(C) == 0:
         return
     plan = _subgroup_plan(m)
@@ -297,10 +296,12 @@ def bounded_counts(m: int, A, B, C) -> np.ndarray:
     """|B| for each triple (A[t]/m, B[t]/m; C[t]/m) of one modulus m.
 
     Every unit generates exactly one cyclic subgroup, so |B| is the sum of
-    phi(|H|) over the cyclic subgroups H inside S.  The numerators must lie
-    in [1, m - 1], and a modulus whose subgroup plan would exceed the table
-    budget is refused with ValueError (:func:`_subgroup_plan`).
+    phi(|H|) over the cyclic subgroups H inside S.  m and the numerators
+    must pass :func:`arith.check_numerators`, and a modulus whose subgroup
+    plan would exceed the table budget is refused with ValueError
+    (:func:`_subgroup_plan`).
     """
+    A, B, C = check_numerators(m, A, B, C)
     out = np.empty(len(C), dtype=np.int64)
     for sl, ok, plan in _subgroup_chunks(m, A, B, C):
         out[sl] = plan.weights @ ok
@@ -310,11 +311,12 @@ def bounded_counts(m: int, A, B, C) -> np.ndarray:
 def bounded_members(m: int, A, B, C, units) -> np.ndarray:
     """``out[t, k]``: is ``units[k] mod m`` in B for the triple t?
 
-    The triples are (A[t]/m, B[t]/m; C[t]/m) of one modulus m, numerators
-    in [1, m - 1], and a unit u lies in B exactly when the cyclic subgroup it
-    generates lies inside S.  ``units`` may be any integers prime to m, such
-    as primes p > m.
+    The triples are (A[t]/m, B[t]/m; C[t]/m) of one modulus m, checked as
+    in :func:`bounded_counts`, and a unit u lies in B exactly when the
+    cyclic subgroup it generates lies inside S.  ``units`` may be any
+    integers prime to m, such as primes p > m.
     """
+    A, B, C = check_numerators(m, A, B, C)
     units = check_int_array(units, "units")
     if units.ndim != 1 or (np.gcd(units, m) != 1).any():
         raise ValueError(f"units must be a 1-d array of integers prime to {m}")

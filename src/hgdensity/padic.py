@@ -341,77 +341,77 @@ def empirical_bounded_batch(m: int, X, Y, Z, p: int, N: int) -> np.ndarray:
     t in 1..m therefore sit on the class k = -t/m mod p, one per block of p
     consecutive k, and distinct numerators have distinct classes.  One
     table of class valuations per (m, p) gives any triple's events: per
-    block, the rows X, Y, -Z and -m in the order of their class residues
-    (:func:`_class_layout`).  A running sum gives the coefficient
-    valuations, and :func:`_descents` the verdict.  (X, Y, Z) and (Y, X, Z)
-    are evaluated once.  The layout depends on p only through p mod m, so a
-    sweep over many primes builds it once per class and runs only the
-    per-prime pass, :func:`_layout_bounded`, at each prime.
+    block, the rows X, Y, -Z and -m in the order of their classes
+    (:func:`_class_layout`).  A running sum gives the valuations and
+    :func:`_descents` the verdict, for every given triple, repeats and swaps
+    included.  The layout depends on p only through p mod m, so a sweep
+    builds it once per class and runs :func:`_layout_bounded` per prime.
 
     Only the super-blocks (p consecutive blocks) that can change a verdict
     are evaluated, and in them only such blocks.  A super-block is regular
-    for a row when its p table entries all lie in {1, 2}: every k < N and
-    no v_p >= 3.  p^2 divides t + k m on one class of the block index mod p,
+    for a row when its p entries all lie in {1, 2}: every k < N and no
+    v_p >= 3.  p^2 divides t + k m on one class of the block index mod p,
     so all regular super-blocks of a row are equal, and one regular for all
-    four rows of a triple repeats the triple's events.  Those sum to zero
-    (the weights 1, 1, -1, -1 do), so each copy in a run of regular
-    super-blocks starts from the level the run started from; the second copy
-    meets every valuation the first did, so it leaves the negative maximum
-    where it found it, and every later copy finds the descents the second
-    found.  Each triple therefore keeps its irregular super-blocks and the
-    first two of each regular run (:func:`_first_two_of_runs`).
-    Rows of kept super-blocks are padded with an all-zero super-block, whose
+    four rows of a triple repeats the triple's events, which sum to zero
+    (the weights 1, 1, -1, -1 do).  So each copy in a regular run starts
+    from the run's level; the second meets every valuation the first did,
+    leaving the negative maximum where it found it, and every later copy
+    finds the descents the second found.  Each triple keeps its irregular
+    super-blocks and the first two of each regular run
+    (:func:`_first_two_of_runs`), padded with an all-zero super-block whose
     events repeat the last valuation and so are descents only after one.
 
-    The same argument applies one level down.  A block is plain for a row
-    when its entry is 1 in every super-block: no v_p >= 2 and k < N
-    throughout.  The events of a block plain for all four rows of a triple
-    are the triple's weights in class order, the same in every plain block,
-    and they sum to zero; so in each kept super-block the triple keeps
-    blocks 0 and 1, its non-plain blocks and the first two of each plain
-    run.  Blocks that pad a triple's selection get weight 0, so they too
-    repeat the last valuation.  Row t has its entries >= 2 in one block,
-    j = (k2 - k0) / p mod p with k0 and k2 the least k of its class mod p
-    and p^2, and in the same block of every super-block; a v_p >= 3 entry is
-    one of them.  So at N = p^3 each row has one irregular super-block and
-    one non-plain block, and a triple keeps at most 14 of the p super-blocks
-    and at most 14 of the p blocks in each.
+    One level down the same argument runs: a block is plain for a row when
+    its entry in the first super-block is 1 (k < N and v_p = 1).  A block
+    plain for all four rows of a triple holds their weights in class order,
+    which sum to zero, so in each kept super-block the triple keeps blocks
+    0 and 1, its non-plain blocks and the first two of each plain run;
+    padding blocks get weight 0.  Row t has its entries >= 2 in one block,
+    j = (k2 - k0) / p mod p, k0 and k2 the least k of its class mod p and
+    p^2, the same in every super-block; a v_p >= 3 entry is one of them.
+    So at N = p^3 a triple keeps at most 14 of the p super-blocks and 14 of
+    the p blocks in each.
+
+    Plain blocks are read from the first super-block alone.  With one
+    super-block that is the rule of 1 in all; with more, the first is fully
+    live and entries >= 2 share their blocks, so the rules differ only past
+    N in the last super-block.  There a block's live rows are a prefix of
+    the class order (by each row's least k): at most one block is partial,
+    every later one empty.  A partial block skipped in a plain run follows
+    two full copies from the run's level, and its live events are a prefix
+    of theirs: it revisits values the second copy met under the same
+    running maximum.  Only empty blocks follow: repeats, no new descent.
 
     One table covers every super-block, plus the padding one; a horizon
     whose table would exceed ``arith.TABLE_LIMIT`` entries is refused with
-    ValueError before the table is built, as every residue table is.
-    Triples go in chunks of at most ``arith.CHUNK_CELLS`` cells, or one
-    triple where one needs more; a chunk's int64 gather index dies before
-    its events are weighed, so the largest temporaries are that index and
-    a few int8 or bool arrays of its cells.  Returns a bool array, true
-    where the verdict is BOUNDED.
+    ValueError before the table is built.  Triples go in chunks of at most
+    ``arith.CHUNK_CELLS`` cells, or one triple where one needs more; a
+    chunk's int64 gather index dies before its events are weighed, so the
+    largest temporaries are that index and a few int8 or bool arrays of its
+    cells.  Returns a bool array, true where the verdict is BOUNDED.
     """
     check_int(N, "N")
     if N < 1:
         raise ValueError(f"N={N} must be >= 1: no coefficient would be examined")
     check_prime(p)
+    X, Y, Z = check_numerators(m, X, Y, Z)
     if p <= m:
         raise PrimeTooSmall(f"p={p} must exceed the modulus m={m}")
-    X, Y, Z = check_numerators(m, X, Y, Z)
     return _layout_bounded(m, _class_layout(m, X, Y, Z, p % m), p, N)
 
 
 def _class_layout(m: int, X, Y, Z, r: int):
     """The event rows of :func:`empirical_bounded_batch` at every prime p = r mod m.
 
-    Returns (nums, weights, inverse).  Row i of ``nums`` holds the numerators
-    X, Y, Z and the factorial's m of the i-th distinct triple, up to the swap
-    of X and Y, in the order of their classes k = -t/m mod p; ``weights``
-    holds their weights 1, 1, -1, -1, with equal numerators merged into the
-    later one as :func:`_valuation_deltas` collapses repeated positions; and
-    ``inverse`` maps each given triple to its row.  The least k of the class
-    of t in 1..m is (j p - t) / m, with j = t / p mod m taken in [1, m], and
-    t < p, so the class order is by j, then by -t: it depends on p only
-    through r.
+    Returns (nums, weights).  Row i of ``nums`` holds the numerators X, Y, Z
+    and the factorial's m of the i-th given triple in the order of their
+    classes k = -t/m mod p, and ``weights`` their weights 1, 1, -1, -1, equal
+    numerators merged into the later one as :func:`_valuation_deltas`
+    collapses repeated positions.  The least k of the class of t in 1..m is
+    (j p - t) / m, with j = t / p mod m taken in [1, m], and t < p, so the
+    class order is by j, then by -t: it depends on p only through r.
     """
-    key, inverse = np.unique((np.minimum(X, Y) * m + np.maximum(X, Y)) * m + Z,
-                             return_inverse=True)
-    nums = np.stack((key // (m * m), key // m % m, key % m, np.full_like(key, m)), axis=1)
+    nums = np.stack((X, Y, Z, np.full_like(Z, m)), axis=1)
     weights = np.broadcast_to(np.array([1, 1, -1, -1], dtype=np.int8), nums.shape)
     order = np.argsort((nums * pow(r, -1, m) - 1) % m * m - nums, axis=1)
     nums = np.take_along_axis(nums, order, axis=1)
@@ -420,13 +420,13 @@ def _class_layout(m: int, X, Y, Z, r: int):
         same = nums[:, i] == nums[:, i + 1]
         weights[same, i + 1] += weights[same, i]
         weights[same, i] = 0
-    return nums, weights, inverse
+    return nums, weights
 
 
 def _layout_bounded(m: int, layout, p: int, N: int) -> np.ndarray:
-    """:func:`empirical_bounded_batch` at the prime p > m and horizon N >= 1,
-    from the :func:`_class_layout` of p's class mod m; neither is checked."""
-    nums, weights, inverse = layout
+    """:func:`empirical_bounded_batch` at the prime p > m and horizon N >= 1, one
+    verdict per row of the :func:`_class_layout` of p's class mod m; unchecked."""
+    nums, weights = layout
     supers = -(-N // (p * p))
     check_table_size((m + 1) * (supers + 1) * p, f"class table for N={N} at p={p}: entries")
     # v_p of coefficient n sums, over the levels p^i <= m N, four counts of
@@ -436,7 +436,7 @@ def _layout_bounded(m: int, layout, p: int, N: int) -> np.ndarray:
     table = _class_valuations(m, p, N, (supers + 1) * p)
     grid = table.reshape(m + 1, supers + 1, p)[:, :supers]
     regular = ((grid >= 1) & (grid <= 2)).all(axis=2)
-    plain = (grid == 1).all(axis=1)
+    plain = grid[:, 0] == 1
     # with at most i irregular super-blocks per row, a triple has at most
     # 4 i and keeps at most 3 (4 i) + 2, and likewise for non-plain blocks:
     # chunks are sized for those widths
@@ -461,4 +461,4 @@ def _layout_bounded(m: int, layout, p: int, N: int) -> np.ndarray:
         vals = np.cumsum(events.reshape(len(sel), -1), axis=1, dtype=np.int8)
         floor = np.full(len(sel), np.iinfo(np.int8).min, dtype=np.int8)
         unbounded[sl] = _descents(vals, floor)[0].any(axis=1)
-    return ~unbounded[inverse]
+    return ~unbounded

@@ -28,6 +28,7 @@ from .arith import _prime_array, check_int, check_rational, chunk_slices, euler_
 from .density import bounded_count, bounded_counts  # noqa: F401
 
 MIN_HEIGHT = 3  # below this no triple with c != a, b exists
+DRY_RUN_CHUNK = 5_000_000  # linear triple indices per dry-run checkpoint
 
 
 def fractions_up_to(N: int) -> list[Fraction]:
@@ -233,20 +234,19 @@ def slice_dry_run(
     stride: int = 100,
     checkpoint: str | None = None,
     max_chunks: int | None = None,
-    chunk: int = 5_000_000,
     progress=None,
 ) -> DryRunReport:
     """Walk every stride-th linear triple index, validating each triple.
 
     Demonstrates that the full large-height sweep is mechanically supported:
-    the index space is chunked, each finished chunk is checkpointed to a JSON
-    file, and a rerun with the same checkpoint resumes where it stopped.
+    the index space is chunked, ``DRY_RUN_CHUNK`` indices to a chunk, each
+    finished chunk is checkpointed to a JSON file, and a rerun with the same
+    checkpoint resumes where it stopped.
     Densities are not computed (dry run).  The sampled indices of a chunk are
     counted ``arith.CHUNK_CELLS`` at a time.
     """
     check_int(N, "height bound", MIN_HEIGHT)
     check_int(stride, "stride", 1)
-    check_int(chunk, "chunk", 1)
     n = _fraction_count(N)
     space = n**3
     start = sampled = valid = 0
@@ -255,7 +255,7 @@ def slice_dry_run(
     chunks_done = 0
     lo = start
     while lo < space:
-        hi = min(lo + chunk, space)
+        hi = min(lo + DRY_RUN_CHUNK, space)
         due = range(lo + (-lo) % stride, hi, stride)  # sampled indices >= lo
         for sl in chunk_slices(len(due), 1):
             idx = np.arange(due[sl].start, due[sl].stop, stride)

@@ -115,11 +115,11 @@ def _sweep_cases(m, prime_limit=0):
     """(X, Y, Z, primes): the triples of modulus m with X <= Y and the primes
     m < p < prime_limit.
 
-    ValueError for a modulus that is not an int >= 2 or a non-int prime
-    limit, and, before it is built, for a bool verdict array above
-    ``arith.TABLE_LIMIT`` cells, counted over the ordered triples.
+    ValueError for a non-int prime limit, a modulus that
+    :func:`arith.modulus_triples` refuses, and, before it is built, a bool
+    verdict array above ``arith.TABLE_LIMIT`` cells, counted over the
+    ordered triples.
     """
-    check_int(m, "modulus m", 2)
     check_int(prime_limit, "prime_limit")
     X, Y, Z = modulus_triples(m, m)
     primes = _prime_array(prime_limit - 1)

@@ -29,8 +29,8 @@ from hgdensity.density import (
     subgroup_union_size,
     zero_density_criterion,
 )
-from hgdensity.arith import (ResidueSet, check_int_array, is_prime, mod_order, unit_mask,
-                             units_mod)
+from hgdensity.arith import (ResidueSet, check_int_array, is_prime, mod_order, modulus_triples,
+                             unit_mask, units_mod)
 from hgdensity.errors import HypothesisError, PrimeTooSmall
 from hgdensity.padic import empirical_bounded_batch
 from hgdensity.quadratic import quadratic_residues
@@ -591,3 +591,29 @@ def test_batched_kernels_refuse_a_bool_among_ints():
             call()
     X = np.array([1, 5], dtype=np.int64)
     assert check_int_array(X, "X") is X  # an int64 array passes without a copy
+
+
+@pytest.mark.parametrize("call", [
+    lambda: empirical_bounded_batch(0, [], [], [], 7, 10),
+    lambda: empirical_bounded_batch(1.5, [], [], [], 7, 10),
+    lambda: bounded_counts(6.0, [1], [1], [5]),
+    lambda: bounded_counts(None, [1], [1], [2]),
+    lambda: bounded_members(2**70, [1], [1], [3], [1]),
+    lambda: bounded_members(True, [], [], [], [1]),
+    lambda: modulus_triples(2.5, 3),
+    lambda: modulus_triples(True, 3),
+    lambda: modulus_triples(6, 2.5),
+], ids=["oracle-0", "oracle-float", "counts-float", "counts-None", "members-2^70",
+        "members-bool", "triples-float", "triples-bool", "triples-height"])
+def test_batched_kernels_check_the_modulus(call, deadline):
+    # each once escaped as ZeroDivisionError, TypeError, OverflowError or
+    # UFuncTypeError, or answered for m = True
+    with deadline(1, "modulus check"), pytest.raises(ValueError, match="modulus m|height"):
+        call()
+
+
+def test_batched_kernels_answer_empty_batches_from_the_least_modulus():
+    assert bounded_counts(2, [], [], []).shape == (0,)
+    assert bounded_members(2, [], [], [], [1, 3]).shape == (0, 2)
+    assert empirical_bounded_batch(2, [], [], [], 3, 10).shape == (0,)
+    assert all(len(v) == 0 for v in modulus_triples(2, 3))

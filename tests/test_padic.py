@@ -242,6 +242,19 @@ def test_batched_oracle_equals_per_triple_oracle(m):
             assert np.array_equal(got, _one_by_one(m, X, Y, Z, p, N)), (m, p, N)
 
 
+def test_batched_oracle_evaluates_the_rows_as_given():
+    # one triple twice and both orders of another: each row is evaluated on
+    # its own and equals the one-triple oracle, with both verdicts met
+    X, Y, Z = np.array([(5, 7, 1), (5, 7, 1), (1, 11, 5), (11, 1, 5), (7, 7, 11)]).T
+    seen = set()
+    for p in (13, 47):
+        for N in (p**2 + 7, p**3, p**3 + p**2 + 5):
+            got = empirical_bounded_batch(12, X, Y, Z, p, N)
+            assert len(got) == 5 and np.array_equal(got, _one_by_one(12, X, Y, Z, p, N)), (p, N)
+            seen.update(got.tolist())
+    assert seen == {False, True}
+
+
 def test_batched_oracle_flips_at_the_first_descent():
     # the horizon is exact: a triple turns UNBOUNDED at the first N that
     # includes the event of its witness (n, v), which is k = n - 1
@@ -332,8 +345,8 @@ def test_first_two_of_runs_keeps_two_copies():
 @pytest.mark.parametrize("m", range(3, 7))
 def test_batched_oracle_equals_per_triple_oracle_where_blocks_drop(m):
     # p > 14, so a triple keeps fewer than p blocks of a super-block; the
-    # horizons end inside a super-block, where a block is plain in some
-    # super-blocks only
+    # horizons end inside a super-block, where blocks plain in the first
+    # super-block may be partial or empty
     X, Y, Z = _batch(m)
     for p in (17, 23, 47):
         for N in (p**3 - 1, 2 * p**2 + 3 * p + 1, p**3 + p**2 + 5):
@@ -342,8 +355,9 @@ def test_batched_oracle_equals_per_triple_oracle_where_blocks_drop(m):
 
 
 def test_batched_oracle_chunks_hold_the_cell_budget(monkeypatch):
-    # at N = p^2 + 7 almost no block is plain in both super-blocks, so a
-    # triple keeps all p blocks; at N = p^3 it keeps at most 14 of them
+    # plain blocks are read from the first super-block, which at N = p^2 + 7
+    # is fully live, so a triple keeps at most 14 blocks in each of its 2
+    # super-blocks, as at N = p^3 in each of at most 14
     kernel, arith = sys.modules["hgdensity.padic"], sys.modules["hgdensity.arith"]
     X, Y, Z = _batch(12)
     p = 47
@@ -357,7 +371,7 @@ def test_batched_oracle_chunks_hold_the_cell_budget(monkeypatch):
     monkeypatch.setattr(kernel, "_descents", spy)
     assert np.array_equal(empirical_bounded_batch(12, X, Y, Z, p, p**2 + 7), want)
     assert len(shapes) > 1 and max(r * c for r, c in shapes) <= arith.CHUNK_CELLS
-    assert max(c for _, c in shapes) == 4 * 2 * p
+    assert max(c for _, c in shapes) <= 4 * 2 * 14
     shapes.clear()
     empirical_bounded_batch(12, X, Y, Z, p, p**3)
     assert len(shapes) > 1 and max(r * c for r, c in shapes) <= arith.CHUNK_CELLS

@@ -219,10 +219,10 @@ def test_fraction_count_is_the_totient_sum():
         assert survey._fraction_count(N) == sum(phi[: N + 1]), N
 
 
-@pytest.mark.parametrize("kwargs", [{"stride": -3}, {"stride": 0}, {"chunk": 0}])
+@pytest.mark.parametrize("kwargs", [{"stride": -3}, {"stride": 0}])
 def test_dry_run_rejects_nonpositive_stride_and_chunk(kwargs, deadline):
-    # without validation a negative stride or a zero chunk loops forever: the
-    # deadline turns a hang into a failure
+    # without validation a negative stride loops forever: the deadline turns
+    # a hang into a failure
     with deadline(10, "slice_dry_run"), pytest.raises(ValueError, match="must be >= 1"):
         survey.slice_dry_run(8, **kwargs)
 
@@ -238,7 +238,6 @@ def test_dry_run_rejects_nonpositive_stride_and_chunk(kwargs, deadline):
         pytest.param(survey.beta, (Fraction(0), 5.0), {}, id="beta-N"),
         pytest.param(survey.slice_dry_run, (5.5,), {}, id="dry-run-N"),
         pytest.param(survey.slice_dry_run, (6,), {"stride": 2.5}, id="dry-run-stride"),
-        pytest.param(survey.slice_dry_run, (6,), {"chunk": 10.0}, id="dry-run-chunk"),
     ],
 )
 def test_non_int_sizes_are_value_errors(call, args, kwargs):
@@ -249,13 +248,14 @@ def test_non_int_sizes_are_value_errors(call, args, kwargs):
     assert survey._COUNT_CACHE == {}
 
 
-def test_dry_run_resume_equivalence(tmp_path):
+def test_dry_run_resume_equivalence(tmp_path, monkeypatch):
     ck = str(tmp_path / "ck.json")
     full = survey.slice_dry_run(8, stride=7)
-    part = survey.slice_dry_run(8, stride=7, checkpoint=ck, chunk=2000, max_chunks=2)
+    monkeypatch.setattr(survey, "DRY_RUN_CHUNK", 2000)
+    part = survey.slice_dry_run(8, stride=7, checkpoint=ck, max_chunks=2)
     assert not part.completed
     assert os.path.exists(ck)
-    resumed = survey.slice_dry_run(8, stride=7, checkpoint=ck, chunk=2000)
+    resumed = survey.slice_dry_run(8, stride=7, checkpoint=ck)
     assert resumed.completed
     assert (resumed.sampled, resumed.valid) == (full.sampled, full.valid)
 

@@ -17,7 +17,6 @@ from .density import (
     is_union_of_cyclic,
     pointwise_condition,
     record,
-    subgroup_union_size,
     zero_density_criterion,
 )
 from .padic import (
@@ -49,7 +48,6 @@ __all__ = [
     "is_union_of_cyclic",
     "pointwise_condition",
     "record",
-    "subgroup_union_size",
     "zero_density_criterion",
     "coefficient_valuations",
     "digit_bounded",

@@ -10,6 +10,7 @@ modulus), 0 on success, and 0 when the reader of stdout closes it early.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -148,19 +149,18 @@ def _cmd_sweep(args):
             f"a full sweep above height {LARGE_HEIGHT} takes over a minute of CPU; "
             f"pass --force-large to run height {args.N}"
         )
-    stream = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        if args.beta is not None:
-            b = survey.beta(args.beta, args.N, workers=args.workers)
-            survey.beta_csv([(args.beta, args.N, b)], stream)
-        else:
-            hist = survey.density_histogram(
-                args.N, workers=args.workers, drop_zero=args.drop_zero
-            )
-            survey.histogram_csv(hist, stream)
-    finally:
-        if args.out:
-            stream.close()
+    # the sweep runs, and may be refused, before --out is opened and truncated
+    if args.beta is not None:
+        b = survey.beta(args.beta, args.N, workers=args.workers)
+        write = functools.partial(survey.beta_csv, [(args.beta, args.N, b)])
+    else:
+        hist = survey.density_histogram(args.N, workers=args.workers, drop_zero=args.drop_zero)
+        write = functools.partial(survey.histogram_csv, hist)
+    if args.out:
+        with open(args.out, "w", newline="") as stream:
+            write(stream)
+    else:
+        write(sys.stdout)
     return None
 
 

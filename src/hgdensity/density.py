@@ -15,7 +15,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -362,41 +361,6 @@ def is_union_of_cyclic(rs: ResidueSet) -> bool:
 def zero_density_criterion(params: HGParams) -> bool:
     """True iff c is strictly the smallest parameter (equivalent to D = 0)."""
     return params.c < params.a and params.c < params.b
-
-
-@dataclass(frozen=True)
-class DivisorAntichain:
-    """A set of divisors of x, none dividing another."""
-
-    x: int
-    J: frozenset[int]
-
-    def __post_init__(self):
-        J = frozenset(self.J)
-        object.__setattr__(self, "J", J)
-        for d in J:
-            if d < 1 or self.x % d != 0:
-                raise ValueError(f"{d} does not divide {self.x}")
-        for d in J:
-            for e in J:
-                if d != e and e % d == 0:
-                    raise ValueError(f"not an antichain: {d} divides {e}")
-
-
-def subgroup_union_size(antichain: DivisorAntichain) -> int:
-    """|union of <u_d> for d in J| inside a cyclic group of order x.
-
-    Inclusion-exclusion: the intersection over a subset K is the subgroup
-    of order gcd(K).
-    """
-    J = sorted(antichain.J)
-    if not J:
-        raise ValueError("antichain must be nonempty")
-    total = 0
-    for k in range(1, len(J) + 1):
-        for K in combinations(J, k):
-            total += (-1) ** (k - 1) * math.gcd(*K) if k > 1 else K[0]
-    return total
 
 
 @dataclass(frozen=True)

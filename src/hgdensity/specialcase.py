@@ -150,17 +150,19 @@ def shape_members(sp: SpecialPrime, shape: BShape) -> ResidueSet:
 def classify_b(params: HGParams) -> BShape:
     """Match the computed B(a,b;c) against the enumerated shapes.
 
-    Raises ShapeMismatch when B matches no shape; that would contradict the
-    subgroup classification and must be surfaced loudly.
+    The shapes' sizes are distinct (:func:`_size_table`), so B is compared
+    with the members of the one shape of size |B|.  Raises ShapeMismatch
+    when B matches no shape; that would contradict the subgroup
+    classification and must be surfaced loudly.
     """
     sp = parse_special_prime(params.m)
     if sp is None:
         raise HypothesisError(f"modulus {params.m} is not of the form 2*q^r + 1")
     B = bounded_residues(params)
-    for shape in enumerate_b_shapes(sp):
-        if B == shape_members(sp, shape):
-            return shape
-    raise ShapeMismatch(f"B={list(B)} over p={sp.p} matches no enumerated shape")
+    shape = _size_table(sp).get(len(B))
+    if shape is None or B != shape_members(sp, shape):
+        raise ShapeMismatch(f"B={list(B)} over p={sp.p} matches no enumerated shape")
+    return shape
 
 
 @dataclass
@@ -174,25 +176,13 @@ class SweepResult:
     total: int
 
 
-def _size_table(sp: SpecialPrime, divs: list[int]) -> dict[int, BShape]:
-    """|B| of every shape, in the order of enumerate_b_shapes.
+def _size_table(sp: SpecialPrime) -> dict[Fraction, BShape]:
+    """|B| = density * (p - 1) of every shape, in the order of enumerate_b_shapes.
 
-    A cyclic H_d lies in a union of subgroups when its generator does, so in
-    one of them, H_e, which holds exactly when d | e.  The shape's size is the
-    sum of phi(d) over those d and must match its closed-form density.  The
-    sizes 0, q^(r-j), 2 q^(r-k) and q^(r-j) + q^(r-k) differ in base q >= 3.
+    The sizes 0, q^(r-j), 2 q^(r-k) and q^(r-j) + q^(r-k) differ in base
+    q >= 3, so |B| alone names the shape.
     """
-    n = sp.p - 1
-    table = {}
-    for shape in enumerate_b_shapes(sp):
-        size = sum(euler_phi(d) for d in divs if any(e % d == 0 for e in shape.orders))
-        if size != shape.density * n:
-            raise ShapeMismatch(
-                f"{shape.label()} over p={sp.p} has {size} members, not"
-                f" {shape.density} * {n}"
-            )
-        table[size] = shape
-    return table
+    return {shape.density * (sp.p - 1): shape for shape in enumerate_b_shapes(sp)}
 
 
 def _orbit_rows(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -313,9 +303,9 @@ def sweep_special(sp: SpecialPrime) -> SweepResult:
     row (s, t) per orbit of the Euler-Pfaff symmetry group, 2 <= s <= t <=
     (p + 1)/2, weighted by the orbit's size, and runs one kernel pass per
     chunk of rows of at most ``arith.CHUNK_CELLS`` cells.  The counts are mapped
-    to shapes through a table of |B| built once from the subgroup orders of
-    enumerate_b_shapes; a size that matches no shape, or a total other
-    than (p - 2)^2 (p - 1), raises ShapeMismatch.  The sweep's residue table
+    to shapes through :func:`_size_table`, built once from the closed-form
+    densities; a size that matches no shape, or a total other than
+    (p - 2)^2 (p - 1), raises ShapeMismatch.  The sweep's residue table
     holds (p + 1)/2 x (p - 1) uint16 cells, the bytes of (p - 1)^2 bool
     cells, so (p - 1)^2 above ``TABLE_LIMIT`` is refused with ValueError
     before anything is built.
@@ -323,15 +313,13 @@ def sweep_special(sp: SpecialPrime) -> SweepResult:
     p = sp.p
     n = p - 1
     check_table_size(n * n, f"special prime p={p}: (p - 1)^2")
-    powg, divs = _lattice(p)
-    table = _size_table(sp, divs)
-    counts, best_size, best_key = _pattern_sweep(p, powg, divs)
-    for m in np.flatnonzero(counts).tolist():
+    table = _size_table(sp)
+    counts, best_size, best_key = _pattern_sweep(p, *_lattice(p))
+    found = {m: int(counts[m]) for m in np.flatnonzero(counts).tolist()}
+    for m in found:
         if m not in table:
             raise ShapeMismatch(f"|B| = {m} over p={p} matches no enumerated shape")
-    shape_counts = {
-        shape.label(): int(counts[m]) for m, shape in table.items() if counts[m]
-    }
+    shape_counts = {shape.label(): found[m] for m, shape in table.items() if m in found}
     total = int(counts.sum())
     expected = (p - 2) * (p - 2) * (p - 1)
     if total != expected:

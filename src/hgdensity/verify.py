@@ -21,8 +21,6 @@ triples, a prime sieve or a (triples, primes) verdict array above
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .arith import (_prime_array, check_int, check_table_size, chunk_slices, mod_order,
@@ -34,20 +32,10 @@ from .padic import _class_layout, _layout_bounded, empirical_bounded  # noqa: F4
 
 
 def params_with_modulus(m: int):
-    """All integer triples (X, Y, Z) with (X/m, Y/m; Z/m) of modulus exactly m.
-
-    Z != X, Y gives c != a, b; the lcm of the three denominators equals m
-    exactly when gcd(X, Y, Z, m) = 1.
-    """
-    for X in range(1, m):
-        gx = math.gcd(X, m)
-        for Y in range(1, m):
-            gxy = math.gcd(gx, Y)
-            for Z in range(1, m):
-                if Z == X or Z == Y:
-                    continue
-                if math.gcd(gxy, Z) == 1:
-                    yield X, Y, Z
+    """The triples (X, Y, Z) of :func:`arith.modulus_triples` ``(m, m)``, one
+    at a time as Python ints, in lexicographic order; ValueError for what
+    that refuses."""
+    yield from zip(*(v.tolist() for v in modulus_triples(m, m)))
 
 
 def _digit_bounded(m: int, X, Y, Z, primes, flip=None) -> np.ndarray:

@@ -6,7 +6,10 @@ Deliberately slow and simple.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import floor, gcd, isqrt
+
+import numpy as np
 
 
 def brute_valuation(q: Fraction, p: int) -> int:
@@ -36,6 +39,24 @@ def brute_coefficient_valuations(a, b, c, p: int, N: int) -> list[int]:
 
 def brute_frac(q: Fraction) -> Fraction:
     return q - floor(q)
+
+
+def brute_modulus_triples(m: int):
+    """All integer triples (X, Y, Z) with (X/m, Y/m; Z/m) of modulus exactly m,
+    in lexicographic order, by a loop over every cell.
+
+    Z != X, Y gives c != a, b; the lcm of the three denominators equals m
+    exactly when gcd(X, Y, Z, m) = 1.
+    """
+    for X in range(1, m):
+        gx = gcd(X, m)
+        for Y in range(1, m):
+            gxy = gcd(gx, Y)
+            for Z in range(1, m):
+                if Z == X or Z == Y:
+                    continue
+                if gcd(gxy, Z) == 1:
+                    yield X, Y, Z
 
 
 def brute_in_s(a, b, c, v: int) -> bool:
@@ -98,6 +119,38 @@ def brute_subgroup_union_size(x: int, J) -> int:
         g = x // d  # generator of the subgroup of order d in Z/xZ
         union.update(g * i % x for i in range(d))
     return len(union)
+
+
+def inclusion_exclusion_union_size(x: int, J) -> int:
+    """|union of the subgroups of order d, d in J| inside a cyclic group of
+    order x, for a nonempty antichain J of divisors of x (none divides
+    another), by inclusion-exclusion: the intersection of the subgroups
+    of the orders in K is the subgroup of order gcd(K)."""
+    J = sorted(J)
+    assert J and all(x % d == 0 for d in J), (x, J)
+    assert all(e % d for d, e in combinations(J, 2)), f"{J} is not an antichain"
+    return sum((-1) ** (k - 1) * gcd(*K) for k in range(1, len(J) + 1)
+               for K in combinations(J, k))
+
+
+def power_walk_members(m: int, X, Y, Z, units) -> np.ndarray:
+    """``out[t, k]``: is ``units[k]`` in B for the triple (X[t]/m, Y[t]/m; Z[t]/m)?
+
+    One unit r at a time, over every triple at once: r is in B exactly when
+    [-v Z]_m <= max([-v X]_m, [-v Y]_m) at every power v = r^j, j < ord(r),
+    each [-v x]_m read from the table of all x mod m.
+    """
+    X, Y, Z = (np.asarray(w, dtype=np.intp) for w in (X, Y, Z))
+    out = np.ones((len(units), len(Z)), dtype=bool)
+    for ok, r in zip(out, units):
+        v = 1
+        while True:
+            res = -v * np.arange(m) % m
+            ok &= res[Z] <= np.maximum(res[X], res[Y])
+            v = v * r % m
+            if v == 1:
+                break
+    return out.T
 
 
 def euler_legendre(y: int, p: int) -> int:

@@ -35,7 +35,7 @@ from hgdensity.arith import (
 from hgdensity.density import _cycle_walk, bounded_counts, bounded_prime_test, pointwise_condition
 from hgdensity.errors import IntegralParameter, NotAUnit
 
-from oracles import sieve_primes
+from oracles import brute_modulus_triples, sieve_primes
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
@@ -377,9 +377,20 @@ def test_scalar_arguments_are_checked_at_the_library_boundary(call, error):
 def test_modulus_triples_match_the_reference_generator():
     # element for element and in order, against the per-triple generator
     for m in range(3, 31):
-        ref = np.array(list(verify.params_with_modulus(m))).T
+        ref = np.array(list(brute_modulus_triples(m))).T
         got = np.array(modulus_triples(m, m))
         assert got.shape == ref.shape and (got == ref).all(), m
+
+
+def test_params_with_modulus_yields_the_table_and_shares_its_refusals():
+    for m in range(2, 31):
+        got = list(verify.params_with_modulus(m))
+        assert got == list(brute_modulus_triples(m)), m
+        assert all(type(v) is int for t in got[:3] for v in t), m
+    # 257 numerators at m = 258 make 257^3 > TABLE_LIMIT cells
+    for m, error in ((1, "must be >= 2"), (258, "too large")):
+        with pytest.raises(ValueError, match=error):
+            next(verify.params_with_modulus(m))
 
 
 def test_modulus_triples_small_and_invalid():

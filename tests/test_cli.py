@@ -227,6 +227,22 @@ def test_sweep_output_file(capsys, tmp_path):
     assert target.read_text().splitlines()[0] == "density,count"
 
 
+def test_a_refused_sweep_leaves_its_output_file_alone(capsys, tmp_path):
+    # --out was once opened, and so truncated, before the height, --beta
+    # and --workers were checked
+    target = tmp_path / "hist.csv"
+    target.write_bytes(b"kept\n")
+    for argv in (["sweep", "2"], ["sweep", "12", "--beta", "3/2"],
+                 ["sweep", "12", "--workers", "0"]):
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 2 and out == "" and err.startswith("invalid arguments"), argv
+        assert target.read_bytes() == b"kept\n", argv
+    code, out, _ = run(capsys, "sweep", "12", "--out", str(target))
+    assert code == 0 and out == ""
+    want = "0891829e656518d4f10f226319fd1cafc01047ba5b531d6ed2a308ef875bc1cb"
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == want
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "3", "--out", "{missing}/x.csv"],
     ["dry-run", "8", "--checkpoint", "{missing}/ck.json"],

@@ -12,7 +12,6 @@ import pytest
 from hgdensity.arith import normalize_params
 from hgdensity.density import (
     DensityRecord,
-    DivisorAntichain,
     _cycle_walk,
     _in_s,
     _neg_residues,
@@ -26,7 +25,6 @@ from hgdensity.density import (
     is_union_of_cyclic,
     pointwise_condition,
     record,
-    subgroup_union_size,
     zero_density_criterion,
 )
 from hgdensity.arith import (ResidueSet, check_int_array, is_prime, mod_order, modulus_triples,
@@ -36,7 +34,8 @@ from hgdensity.padic import empirical_bounded_batch
 from hgdensity.quadratic import quadratic_residues
 from hgdensity import verify
 
-from oracles import brute_bounded_set, brute_in_s
+from oracles import (brute_bounded_set, brute_in_s, brute_modulus_triples,
+                     inclusion_exclusion_union_size, power_walk_members)
 
 
 def params(a, b, c):
@@ -63,7 +62,7 @@ def test_bounded_residues_examples():
 def test_bounded_residues_match_definition_oracle():
     # every triple with modulus up to 10, straight against the definition
     for m in range(3, 11):
-        for X, Y, Z in verify.params_with_modulus(m):
+        for X, Y, Z in brute_modulus_triples(m):
             pr = params(Fraction(X, m), Fraction(Y, m), Fraction(Z, m))
             got = set(bounded_residues(pr).members)
             want = brute_bounded_set(pr.a, pr.b, pr.c)
@@ -108,7 +107,7 @@ def test_bounded_prime_test_matches_bounded_residues():
     # the walk over <p mod m> against membership in the whole of B
     primes = [p for p in range(3, 200) if all(p % q for q in range(2, p))]
     for m in range(2, 13):
-        for X, Y, Z in verify.params_with_modulus(m):
+        for X, Y, Z in brute_modulus_triples(m):
             pr = params(Fraction(X, m), Fraction(Y, m), Fraction(Z, m))
             B = bounded_residues(pr)
             for p in primes:
@@ -172,26 +171,20 @@ def test_zero_density_criterion():
 
 def test_identity_in_b_iff_c_not_smallest():
     for m in range(3, 16):
-        for X, Y, Z in verify.params_with_modulus(m):
+        for X, Y, Z in brute_modulus_triples(m):
             pr = params(Fraction(X, m), Fraction(Y, m), Fraction(Z, m))
             assert (1 in bounded_residues(pr).members) == (pr.c > min(pr.a, pr.b))
 
 
-def test_divisor_antichain_validation():
-    DivisorAntichain(x=12, J=frozenset({4, 6}))
-    with pytest.raises(ValueError):
-        DivisorAntichain(x=12, J=frozenset({5}))
-    with pytest.raises(ValueError):
-        DivisorAntichain(x=12, J=frozenset({2, 4}))
-
-
 def test_subgroup_union_size_examples():
-    assert subgroup_union_size(DivisorAntichain(x=12, J=frozenset({4, 6}))) == 8
-    assert subgroup_union_size(DivisorAntichain(x=10, J=frozenset({10}))) == 10
-    assert subgroup_union_size(DivisorAntichain(x=30, J=frozenset({6, 10, 15}))) == 22
+    assert inclusion_exclusion_union_size(12, {4, 6}) == 8
+    assert inclusion_exclusion_union_size(10, {10}) == 10
+    assert inclusion_exclusion_union_size(30, {6, 10, 15}) == 22
 
 
 def test_subgroup_union_size_matches_enumeration():
+    # the inclusion-exclusion oracle that pins the special-prime closed forms
+    # against the union's members, counted
     from itertools import combinations
 
     from oracles import brute_subgroup_union_size
@@ -206,7 +199,7 @@ def test_subgroup_union_size_matches_enumeration():
                 ):
                     antichains.append(frozenset(J))
         for J in antichains:
-            got = subgroup_union_size(DivisorAntichain(x=x, J=J))
+            got = inclusion_exclusion_union_size(x, J)
             assert got == brute_subgroup_union_size(x, J), (x, sorted(J))
 
 
@@ -256,7 +249,7 @@ def test_digit_residue_equivalence_small_moduli():
 
 
 def _batch(m):
-    return np.array(list(verify.params_with_modulus(m)), dtype=np.int64).T
+    return np.array(list(brute_modulus_triples(m)), dtype=np.int64).T
 
 
 @pytest.mark.parametrize("m", [65521, 65537, 491111])
@@ -295,6 +288,21 @@ def test_bounded_counts_match_closure_walk():
         members = bounded_members(m, X, Y, Z, units)
         for row, walk in zip(members, walks):
             assert units[row].tolist() == walk, m
+
+
+@pytest.mark.parametrize("m", [*range(3, 61),
+                               *(pytest.param(m, marks=pytest.mark.slow) for m in range(61, 71))])
+def test_bounded_members_match_the_power_walk(m):
+    # one kernel call over every X <= Y triple of modulus m and every unit,
+    # against a walk over each unit's powers that shares no code with
+    # density: this pins the closure from S to B, which the Euler-Pfaff
+    # oracle cannot see
+    X, Y, Z = modulus_triples(m, m)
+    half = X <= Y
+    X, Y, Z = X[half], Y[half], Z[half]
+    units = units_mod(m)
+    bad = np.argwhere(bounded_members(m, X, Y, Z, units) != power_walk_members(m, X, Y, Z, units))
+    assert len(bad) == 0, [(int(X[t]), int(Y[t]), int(Z[t]), units[k]) for t, k in bad[:5]]
 
 
 def _walk_against_kernel(m, triples):

@@ -26,9 +26,8 @@ from hgdensity.padic import (
     normalized_digit_limit,
     padic_digits,
 )
-from hgdensity.verify import params_with_modulus
 
-from oracles import brute_coefficient_valuations
+from oracles import brute_coefficient_valuations, brute_modulus_triples
 
 
 def params(a, b, c):
@@ -219,7 +218,7 @@ def test_empirical_bounded_needs_a_coefficient(N):
 
 
 def _batch(m):
-    return np.array(list(params_with_modulus(m))).T
+    return np.array(list(brute_modulus_triples(m))).T
 
 
 def _one_by_one(m, X, Y, Z, p, N):

@@ -1,6 +1,5 @@
 """Shape classification of B over primes p = 2*q**r + 1."""
 
-import dataclasses
 import itertools
 import os
 import subprocess
@@ -15,19 +14,13 @@ import pytest
 
 from hgdensity.arith import (
     ResidueSet,
+    euler_phi,
     is_prime,
     modulus_triples,
     normalize_params,
     primes_up_to,
 )
-from hgdensity.density import (
-    DivisorAntichain,
-    bounded_counts,
-    bounded_residues,
-    density,
-    is_union_of_cyclic,
-    subgroup_union_size,
-)
+from hgdensity.density import bounded_counts, bounded_residues, density, is_union_of_cyclic
 from hgdensity.errors import HypothesisError, ShapeMismatch
 from hgdensity.quadratic import legendre, quadratic_residues
 from hgdensity.specialcase import (
@@ -42,7 +35,9 @@ from hgdensity.specialcase import (
     sweep_special,
 )
 
-from hgdensity import specialcase, verify
+from hgdensity import specialcase
+
+from oracles import brute_modulus_triples, inclusion_exclusion_union_size
 
 
 def params(x, y, z, p):
@@ -121,20 +116,25 @@ def test_shape_members_refuse_a_huge_prime_at_once():
 
 
 def test_shape_orders_give_the_closed_form_densities():
-    # the paper's density formulas against density's inclusion-exclusion
-    # over each shape's subgroup orders, at every special prime below 1000
-    primes = [p for p in range(1000) if parse_special_prime(p)]
-    assert len(primes) == 28
+    # the paper's density formulas against two sizings of the union of each
+    # shape's subgroups, at every special prime that sweep_special admits:
+    # inclusion-exclusion over the orders, and the sum of phi(d) over the
+    # divisors d of p - 1 that divide one of them (H_d lies in H_e iff d | e)
+    primes = [p for p in range(5, 4097) if parse_special_prime(p)]
+    assert len(primes) == 67
     nonempty = 0
     for p in primes:
+        divs = [d for d in range(1, p) if (p - 1) % d == 0]
         for s in enumerate_b_shapes(parse_special_prime(p)):
             if s.orders:
-                antichain = DivisorAntichain(p - 1, frozenset(s.orders))
-                assert s.density * (p - 1) == subgroup_union_size(antichain), (p, s)
+                size = s.density * (p - 1)
+                assert size == inclusion_exclusion_union_size(p - 1, s.orders), (p, s)
+                assert size == sum(euler_phi(d) for d in divs
+                                   if any(e % d == 0 for e in s.orders)), (p, s)
                 nonempty += 1
             else:
                 assert s.kind == "EMPTY" and s.density == 0
-    assert nonempty == 190
+    assert nonempty == 424
 
 
 def test_classify_b_raises_when_b_is_no_shape(monkeypatch):
@@ -167,7 +167,7 @@ def test_sweep_matches_brute_force_at_23():
     res = sweep_special(sp)
     brute = Counter()
     best = (Fraction(0), None)
-    for X, Y, Z in verify.params_with_modulus(p):
+    for X, Y, Z in brute_modulus_triples(p):
         shape = classify_b(params(X, Y, Z, p))
         brute[shape.label()] += 1
         cand = (min(X, Y), max(X, Y), Z)
@@ -184,7 +184,7 @@ def test_sweep_matches_brute_force_at_19():
     res = sweep_special(parse_special_prime(p))
     brute = Counter()
     best = (Fraction(0), None)
-    for X, Y, Z in verify.params_with_modulus(p):
+    for X, Y, Z in brute_modulus_triples(p):
         shape = classify_b(params(X, Y, Z, p))
         brute[shape.label()] += 1
         cand = (min(X, Y), max(X, Y), Z)
@@ -244,7 +244,7 @@ def test_size_table_gives_every_shape_its_own_size():
     assert len(primes) == 67
     for p in primes:
         sp = parse_special_prime(p)
-        table = specialcase._size_table(sp, [d for d in range(1, p) if (p - 1) % d == 0])
+        table = specialcase._size_table(sp)
         assert list(table.values()) == enumerate_b_shapes(sp), p
 
 
@@ -470,19 +470,6 @@ def test_special_prime_check_survives_python_O():
     assert proc.stderr.splitlines()[-1].startswith("ValueError: p=11, q=3, r=1 is not")
 
 
-def test_pattern_table_raises_on_a_wrong_closed_form(monkeypatch):
-    full_table = specialcase.enumerate_b_shapes
-
-    def wrong_density(sp):
-        shapes = full_table(sp)
-        shapes[1] = dataclasses.replace(shapes[1], density=shapes[1].density / 2)
-        return shapes
-
-    monkeypatch.setattr(specialcase, "enumerate_b_shapes", wrong_density)
-    with pytest.raises(ShapeMismatch, match="members"):
-        sweep_special(parse_special_prime(19))
-
-
 def test_sweep_raises_on_a_wrong_total(monkeypatch):
     kernel = specialcase._pattern_sweep
 
@@ -509,7 +496,7 @@ def test_nonresidue_z_excludes_large_shapes():
     # when -z is a nonresidue, B cannot contain the quadratic-residue
     # generator, ruling out HALF(0), FULL(0) and UNION(0, k)
     p = 23
-    for X, Y, Z in verify.params_with_modulus(p):
+    for X, Y, Z in brute_modulus_triples(p):
         if legendre(-Z, p) != -1:
             continue
         label = classify_b(params(X, Y, Z, p)).label()
@@ -528,7 +515,7 @@ def test_remark_case_classification():
 
 def test_remark_cases_exhaustive_at_23():
     # no triple violates its case's density set, and D = 1 never occurs
-    for X, Y, Z in verify.params_with_modulus(23):
+    for X, Y, Z in brute_modulus_triples(23):
         remark_case_classification(params(X, Y, Z, 23))  # raises on violation
 
 
@@ -545,7 +532,7 @@ def test_find_generator():
 
 
 def test_special_prime_finds_its_generator_once(monkeypatch):
-    # classify_b compares B with every shape's members: 21 shapes at p = 163
+    # classify_b and the caller's own shape_members calls at p = 163
     calls = []
     real = specialcase.find_generator
     monkeypatch.setattr(specialcase, "find_generator", lambda p: calls.append(p) or real(p))

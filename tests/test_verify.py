@@ -13,6 +13,8 @@ from hgdensity.arith import HGParams, is_prime, modulus_triples, primes_in_range
 from hgdensity.density import zero_density_criterion
 from hgdensity.padic import Verdict, digit_bounded
 
+from oracles import brute_modulus_triples
+
 SWEEPS = [verify.digit_residue_mismatches, verify.zero_density_mismatches,
           verify.empirical_digit_mismatches]
 
@@ -20,7 +22,7 @@ SWEEPS = [verify.digit_residue_mismatches, verify.zero_density_mismatches,
 def test_zero_density_criterion_is_the_numerator_form():
     # the sweep checks Z < X and Z < Y; the library predicate must say so too
     for m in range(3, 13):
-        for X, Y, Z in verify.params_with_modulus(m):
+        for X, Y, Z in brute_modulus_triples(m):
             params = HGParams(Fraction(X, m), Fraction(Y, m), Fraction(Z, m))
             assert zero_density_criterion(params) == (Z < X and Z < Y), (X, Y, Z, m)
 
@@ -57,7 +59,7 @@ def test_criterion_sweep_reports_every_disagreement(monkeypatch):
     # the sweep must report exactly those (triple, prime) pairs, mirrored
     m, limit = 12, 120
     primes = primes_in_range(m, limit)
-    triples = list(verify.params_with_modulus(m))
+    triples = list(brute_modulus_triples(m))
     cells = [(t, primes.index(p)) for t, p in _FLIPPED]
     monkeypatch.setattr(verify, "bounded_members", _flip_each_prime_and_cells(
         verify.bounded_members, primes.index(37), cells))
@@ -72,7 +74,7 @@ def test_criterion_sweep_reports_every_digit_disagreement(monkeypatch):
     # X < Y row and an X = Y row at 97
     m, limit = 12, 120
     primes = primes_in_range(m, limit)
-    triples = list(verify.params_with_modulus(m))
+    triples = list(brute_modulus_triples(m))
     cells = [((5, 11, 1), primes.index(97)), ((5, 5, 1), primes.index(97))]
     monkeypatch.setattr(verify, "_digit_bounded", _flip_each_prime_and_cells(
         verify._digit_bounded, primes.index(43), cells))
@@ -99,7 +101,7 @@ def test_oracle_sweep_reports_a_flipped_prime(monkeypatch):
     after = verify.empirical_digit_mismatches(m)
     at_p = {t[:3] for t in before if t[3] == p}
     assert 0 < len(at_p) and {t for t in before if t[3] != p} == {t for t in after if t[3] != p}
-    assert {t[:3] for t in after if t[3] == p} == set(verify.params_with_modulus(m)) - at_p
+    assert {t[:3] for t in after if t[3] == p} == set(brute_modulus_triples(m)) - at_p
     assert all(type(v) is int for row in after for v in row)
 
 
@@ -118,7 +120,7 @@ def _digit_pins(m, triples, primes):
 def test_digit_evaluator_matches_padic_division():
     # every triple of modulus m <= 9 at every prime m < p < 100
     for m in range(3, 10):
-        _digit_pins(m, list(verify.params_with_modulus(m)), primes_in_range(m, 100))
+        _digit_pins(m, list(brute_modulus_triples(m)), primes_in_range(m, 100))
 
 
 def test_digit_evaluator_int64_path():
@@ -184,7 +186,7 @@ def test_sweeps_at_modulus_two_are_empty(sweep):
 
 def test_zero_density_sweep_reports_every_disagreement(monkeypatch):
     m = 10
-    triples = list(verify.params_with_modulus(m))
+    triples = list(brute_modulus_triples(m))
     monkeypatch.setattr(verify, "bounded_counts", lambda m, X, Y, Z: np.ones(len(X)))
     # with every |B| nonzero, each triple whose c is strictly smallest disagrees
     assert verify.zero_density_mismatches(m) == [

@@ -10,6 +10,7 @@ modulus), 0 on success, and 0 when the reader of stdout closes it early.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -149,18 +150,20 @@ def _cmd_sweep(args):
             f"a full sweep above height {LARGE_HEIGHT} takes over a minute of CPU; "
             f"pass --force-large to run height {args.N}"
         )
-    # the sweep runs, and may be refused, before --out is opened and truncated
-    if args.beta is not None:
-        b = survey.beta(args.beta, args.N, workers=args.workers)
-        write = functools.partial(survey.beta_csv, [(args.beta, args.N, b)])
-    else:
-        hist = survey.density_histogram(args.N, workers=args.workers, drop_zero=args.drop_zero)
-        write = functools.partial(survey.histogram_csv, hist)
-    if args.out:
-        with open(args.out, "w", newline="") as stream:
-            write(stream)
-    else:
-        write(sys.stdout)
+    # --out is opened before the sweep, so a bad path fails at once, and
+    # truncated after it, so a refused sweep leaves the file as it was
+    out = open(args.out, "a", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+    with out as stream:
+        if args.beta is not None:
+            b = survey.beta(args.beta, args.N, workers=args.workers)
+            write = functools.partial(survey.beta_csv, [(args.beta, args.N, b)])
+        else:
+            hist = survey.density_histogram(args.N, workers=args.workers, drop_zero=args.drop_zero)
+            write = functools.partial(survey.histogram_csv, hist)
+        if args.out:
+            stream.seek(0)
+            stream.truncate()
+        write(stream)
     return None
 
 

@@ -254,6 +254,21 @@ def test_unwritable_output_path_is_usage_error(capsys, tmp_path, argv):
     assert err.count("\n") == 1 and "Traceback" not in err and "no-such-directory" in err
 
 
+def test_a_bad_output_path_fails_before_the_sweep(capsys, tmp_path, monkeypatch):
+    # the sweep at height 20 takes seconds; a missing directory must not wait for it
+    from hgdensity import survey
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before --out was opened")
+
+    monkeypatch.setattr(survey, "density_histogram", no_sweep)
+    monkeypatch.setattr(survey, "beta", no_sweep)
+    missing = tmp_path / "no-such-directory" / "x.csv"
+    for argv in (["sweep", "20"], ["sweep", "20", "--beta", "1/2"]):
+        code, out, err = run(capsys, *argv, "--out", str(missing))
+        assert code == 2 and out == "" and "no-such-directory" in err, argv
+
+
 def test_exit_code_hypothesis_violation(capsys):
     # prime not exceeding the modulus
     code, _, err = run(capsys, "bounded", "1/3", "1/3", "2/3", "3")

@@ -290,8 +290,7 @@ def test_bounded_counts_match_closure_walk():
             assert units[row].tolist() == walk, m
 
 
-@pytest.mark.parametrize("m", [*range(3, 61),
-                               *(pytest.param(m, marks=pytest.mark.slow) for m in range(61, 71))])
+@pytest.mark.parametrize("m", range(3, 61))
 def test_bounded_members_match_the_power_walk(m):
     # one kernel call over every X <= Y triple of modulus m and every unit,
     # against a walk over each unit's powers that shares no code with

@@ -39,13 +39,14 @@ def chunk_slices(n: int, width: int):
 
 def frac_part(q: Fraction) -> Fraction:
     """Fractional part {q} = q - floor(q), always in [0, 1)."""
+    check_rational(q, "q")
     return Fraction(q.numerator % q.denominator, q.denominator)
 
 
 def least_residue(x: int, m: int) -> int:
     """The unique integer in [0, m) congruent to x mod m."""
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
+    check_int(x, "x")
+    check_int(m, "modulus m", 1)
     return x % m
 
 
@@ -79,8 +80,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 def euler_phi(m: int) -> int:
     """Number of units in Z/mZ."""
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
+    check_int(m, "modulus m", 1)
     phi = 1
     for p, e in factorize(m):
         phi *= (p - 1) * p ** (e - 1)
@@ -93,8 +93,8 @@ def mod_order(u: int, m: int) -> int:
     The order divides phi(m): start from phi(m) and divide out each prime
     factor for as long as u to the smaller exponent is still 1.
     """
-    if m < 2:
-        raise ValueError(f"order requires modulus >= 2, got {m}")
+    check_int(u, "u")
+    check_int(m, "modulus m", 2)
     u %= m
     if math.gcd(u, m) != 1:
         raise NotAUnit(f"{u} is not a unit mod {m}")
@@ -112,10 +112,12 @@ def cyclic_powers(u: int, m: int) -> list[int]:
     """[1, u, u^2, ..., u^(d-1)] mod m >= 1, d the order of the unit u.
 
     The list is the cyclic subgroup <u>, with ``powers[k % d] = u^k``.  A
-    non-unit raises NotAUnit, as in :func:`mod_order`.
+    non-unit raises NotAUnit, as in :func:`mod_order`; m > ``TABLE_LIMIT``,
+    whose list could hold as many powers, is refused with ValueError first.
     """
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
+    check_int(u, "u")
+    check_int(m, "modulus m", 1)
+    check_table_size(m, "modulus m")
     u %= m
     if math.gcd(u, m) != 1:
         raise NotAUnit(f"{u} is not a unit mod {m}")
@@ -254,10 +256,12 @@ class ResidueSet:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            ms = np.sort(np.fromiter(self.members, dtype=np.int64))
-        except OverflowError:
-            raise ValueError(f"a member lies outside [1, {self.modulus - 1}]") from None
+        check_int(self.modulus, "modulus", 1)
+        ms = np.array(list(self.members))  # no dtype: a cast would truncate a float
+        if ms.size and ms.dtype.kind != "i":
+            raise ValueError(f"members must be ints in [1, {self.modulus - 1}], got "
+                             f"{ms.dtype} entries: a float, a bool or a member outside int64")
+        ms = np.sort(ms.astype(np.int64, copy=False))
         first = np.ones(len(ms), dtype=bool)  # cheaper than np.unique
         first[1:] = ms[1:] != ms[:-1]
         ms = ms[first]

@@ -337,7 +337,10 @@ def bounded_prime_test(params: HGParams, p: int) -> bool:
 
     The class u = p mod m is bounded when every power of u satisfies the
     pointwise condition, so only <u> is walked, up to its first power
-    outside S: O(ord(u)) steps, not all of B.
+    outside S: O(ord(u)) steps, not all of B.  The walk takes at most
+    ``TABLE_LIMIT`` steps, the budget of every table, which no walk at
+    m <= ``TABLE_LIMIT`` reaches, since ord(u) < m; a longer walk is refused
+    with ValueError.
     """
     check_prime(p)
     m = params.m
@@ -345,11 +348,14 @@ def bounded_prime_test(params: HGParams, p: int) -> bool:
         raise PrimeTooSmall(f"p={p} must exceed the modulus m={m}")
     A, B, C = _numerators(params)
     u = w = p % m
-    while _in_s(_neg_residue(m, A, w), _neg_residue(m, B, w), _neg_residue(m, C, w)):
+    for _ in range(TABLE_LIMIT):
+        if not _in_s(_neg_residue(m, A, w), _neg_residue(m, B, w), _neg_residue(m, C, w)):
+            return False
         w = w * u % m
         if w == u:
             return True
-    return False
+    raise ValueError(f"the walk of <p mod m> at m={m} passed {TABLE_LIMIT} powers, "
+                     f"the limit of every walk and table")
 
 
 def is_union_of_cyclic(rs: ResidueSet) -> bool:

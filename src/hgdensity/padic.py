@@ -98,27 +98,6 @@ def _expansion(a_minus_1: Fraction, p: int) -> DigitExpansion:
     return DigitExpansion(prime=p, value=a_minus_1, period=M, digits=tuple(digits))
 
 
-def digits_by_formula(a: Fraction, p: int) -> tuple[int, ...]:
-    """Digits of a - 1 via the closed form floor({-p^(M-1-j) a} p).
-
-    Kept as a second, independent route to the same digits; property tests
-    pin it against :func:`padic_digits`.
-    """
-    check_prime(p)
-    if not (0 < a < 1):
-        raise HypothesisError(f"{a} must lie in (0, 1)")
-    den = a.denominator
-    if den % p == 0:
-        raise HypothesisError(f"p={p} divides the denominator of {a}")
-    M = mod_order(p, den)
-    na = a.numerator
-    out = []
-    for j in range(M):
-        x = (-pow(p, M - 1 - j, den) * na) % den  # den * {-p^(M-1-j) a}
-        out.append(x * p // den)
-    return tuple(out)
-
-
 def normalized_digit_limit(a: Fraction, u: int, j: int) -> Fraction:
     """Limit of a_j(p)/p over primes p = u mod den(a): {-u^(M-1-j) a}."""
     check_rational(a, "a")
@@ -268,14 +247,10 @@ def empirical_bounded(params: HGParams, p: int, N: int) -> BoundednessVerdict:
     """Heuristic boundedness check over actual coefficient valuations.
 
     UNBOUNDED iff some valuation drops strictly below an earlier valuation
-    that was already <= -1 (:func:`_descents`).  The prime is not checked
-    here beyond being an int >= 2: it is the one-triple reference for
-    :func:`empirical_bounded_batch`, and callers draw their primes from a sieve.
+    that was already <= -1 (:func:`_descents`).
     """
-    check_int(p, "prime p")
+    check_prime(p)
     check_int(N, "N")
-    if p < 2:
-        raise ValueError(f"p={p} must be a prime >= 2")
     if not 1 <= N <= 1 << 63:
         raise ValueError(f"N={N} must be >= 1 (no coefficient would be examined) "
                          f"and at most 2^63 (the coefficient indices are int64)")

@@ -126,16 +126,6 @@ def find_generator(p: int) -> int:
     return next(g for g in range(2, p) if mod_order(g, p) == p - 1)
 
 
-def _lattice(p: int) -> tuple[np.ndarray, list[int]]:
-    """powers[k] = g^k for the least primitive root g, and the divisors of n = p - 1.
-
-    The unit group is cyclic, so its subgroup of order d | n is powers[::n // d].
-    """
-    n = p - 1
-    powers = cyclic_powers(find_generator(p), p)
-    return np.array(powers), [d for d in range(1, n + 1) if n % d == 0]
-
-
 def shape_members(sp: SpecialPrime, shape: BShape) -> ResidueSet:
     """The explicit subset of (Z/pZ)^x described by a shape.
 
@@ -195,14 +185,14 @@ def _orbit_rows(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s, t, weight
 
 
-def _pattern_sweep(p: int, powg: np.ndarray, divs: list[int]) -> tuple[np.ndarray, int, int]:
-    """Triples (x/p, y/p; z/p) per |B|, the largest |B| and its key.
+def _pattern_sweep(p: int) -> tuple[np.ndarray, int, int]:
+    """Triples (x/p, y/p; z/p) per |B|, the largest |B| and its key, at an odd prime p.
 
     The pointwise set of (x, y; z) is determined by s = x/z and t = y/z mod p,
     and u lies in B exactly when the coset z<u> is contained in
     T(s, t) = {w : [-w]_p <= max([-ws]_p, [-wt]_p)}.  With n = p - 1 and
-    powg[k] = g^k for a primitive root g, the subgroups of the cyclic unit
-    group are H_d = <g^(n/d)> for the divisors d in divs, and z*H_d lies in T
+    powg[k] = g^k for the least primitive root g, the subgroups of the cyclic
+    unit group are H_d = <g^(n/d)> for the divisors d of n, and z*H_d lies in T
     exactly when T holds at every log k = log z (mod n/d).  So fits[d], of
     width n/d, is T's row reduced over the d cosets of that class.  The T
     row of (s, t) is the pointwise set S of (s/p, t/p; 1/p) over the units
@@ -253,13 +243,21 @@ def _pattern_sweep(p: int, powg: np.ndarray, divs: list[int]) -> tuple[np.ndarra
     (p - 2)^2 (p - 1) that :func:`sweep_special` checks guards the weights.
 
     Rows go in chunks of ``arith.chunk_slices`` at p - 1 cells a row, at
-    most ``arith.CHUNK_CELLS`` cells at any admitted p.  Returns the count of ordered
-    triples per |B| (p entries), the largest |B| and the key
-    min(x, y)*p^2 + max(x, y)*p + z of the lexicographically least triple
-    attaining it: per hit cell, the least key over its images
-    (s or 1 - s) x (t or 1 - t), the key's min and max taking the swap.
+    most ``arith.CHUNK_CELLS`` cells at any admitted p.  The residue table
+    holds (p + 1)/2 x (p - 1) uint16 cells, the bytes of (p - 1)^2 bool
+    cells, so (p - 1)^2 above ``TABLE_LIMIT`` is refused with ValueError
+    before anything is built.  Returns the count of ordered triples per |B|
+    (p entries), the largest |B| and the key min(x, y)*p^2 + max(x, y)*p + z
+    of the lexicographically least triple attaining it.  Per hit cell the key
+    is taken at a = min(x, z - x) and b = min(y, z - y), the least images of
+    x and y under s -> 1 - s and t -> 1 - t: min(a, b) and max(a, b) are
+    monotone in each argument, so this pair has the least (min, max) of the
+    four images, and the key's min and max take the swap.
     """
     n = p - 1
+    check_table_size(n * n, f"special prime p={p}: (p - 1)^2")
+    powg = np.array(cyclic_powers(find_generator(p), p))
+    divs = [d for d in range(1, p) if n % d == 0]
     up = [divs.index(d // factorize(d)[0][0]) for d in divs[1:]]  # index of d/l
     phi = [np.min_scalar_type(n).type(euler_phi(d)) for d in divs]
     res = _neg_residues(p, np.arange(1, (p + 1) // 2 + 1), powg)  # res[i - 1, k] = [-i g^k]_p
@@ -286,8 +284,8 @@ def _pattern_sweep(p: int, powg: np.ndarray, divs: list[int]) -> tuple[np.ndarra
         r, j = np.divmod(np.flatnonzero(size == top), n)
         z = powg[j]
         x, y = s[r] * z % p, t[r] * z % p
-        key = min(int((np.minimum(a, b) * p * p + np.maximum(a, b) * p + z).min())
-                  for a in (x, (z - x) % p) for b in (y, (z - y) % p))
+        a, b = np.minimum(x, (z - x) % p), np.minimum(y, (z - y) % p)
+        key = int((np.minimum(a, b) * p * p + np.maximum(a, b) * p + z).min())
         if top > best_size or key < best_key:
             best_size, best_key = top, key
     return counts, best_size, best_key
@@ -305,16 +303,13 @@ def sweep_special(sp: SpecialPrime) -> SweepResult:
     chunk of rows of at most ``arith.CHUNK_CELLS`` cells.  The counts are mapped
     to shapes through :func:`_size_table`, built once from the closed-form
     densities; a size that matches no shape, or a total other than
-    (p - 2)^2 (p - 1), raises ShapeMismatch.  The sweep's residue table
-    holds (p + 1)/2 x (p - 1) uint16 cells, the bytes of (p - 1)^2 bool
-    cells, so (p - 1)^2 above ``TABLE_LIMIT`` is refused with ValueError
-    before anything is built.
+    (p - 2)^2 (p - 1), raises ShapeMismatch.  :func:`_pattern_sweep`
+    refuses (p - 1)^2 above ``TABLE_LIMIT`` with ValueError before it builds
+    its residue table.
     """
     p = sp.p
-    n = p - 1
-    check_table_size(n * n, f"special prime p={p}: (p - 1)^2")
     table = _size_table(sp)
-    counts, best_size, best_key = _pattern_sweep(p, *_lattice(p))
+    counts, best_size, best_key = _pattern_sweep(p)
     found = {m: int(counts[m]) for m in np.flatnonzero(counts).tolist()}
     for m in found:
         if m not in table:
@@ -327,7 +322,7 @@ def sweep_special(sp: SpecialPrime) -> SweepResult:
     return SweepResult(
         sp=sp,
         shape_counts=shape_counts,
-        max_density=Fraction(best_size, n),
+        max_density=Fraction(best_size, p - 1),
         witness=(best_key // (p * p), best_key // p % p, best_key % p),
         total=total,
     )

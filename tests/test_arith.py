@@ -32,7 +32,8 @@ from hgdensity.arith import (
     unit_mask,
     units_mod,
 )
-from hgdensity.density import _cycle_walk, bounded_counts, bounded_prime_test, pointwise_condition
+from hgdensity.density import (_cycle_walk, bounded_counts, bounded_prime_test, is_union_of_cyclic,
+                               pointwise_condition)
 from hgdensity.errors import IntegralParameter, NotAUnit
 
 from oracles import brute_modulus_triples, sieve_primes
@@ -271,6 +272,9 @@ _HUGE = [
     (lambda: verify.empirical_digit_mismatches(20, 30_000), "verdicts of modulus m=20"),
     (lambda: padic.coefficient_valuations(_THIRDS, 5, TABLE_LIMIT), "valuations up to"),
     (lambda: quadratic.u_interval_decomposition(TABLE_LIMIT + 1, 2**25), "x="),
+    (lambda: cyclic_powers(2, 10**12 + 39), "modulus m=1000000000039"),
+    (lambda: is_union_of_cyclic(ResidueSet(10**12 + 39, (2,))), "modulus m=1000000000039"),
+    (lambda: specialcase._pattern_sweep(4099), r"\(p - 1\)\^2"),
 ]
 
 
@@ -278,14 +282,16 @@ _HUGE = [
     "primes_up_to", "primes_in_range", "modulus_triples-cells", "modulus_triples-m",
     "zero_density_mismatches", "digit_residue_mismatches-sieve",
     "digit_residue_mismatches-verdicts", "empirical_digit_mismatches-verdicts",
-    "coefficient_valuations", "u_interval_decomposition"])
+    "coefficient_valuations", "u_interval_decomposition", "cyclic_powers",
+    "is_union_of_cyclic", "_pattern_sweep"])
 def test_oversize_tables_are_refused_before_they_are_built(call, match, deadline):
     # each would take from tens of MiB to many GiB: m = 1000 asks for a
     # 999^3 keep table, 10^10 for a 10 GB sieve, 20 and 30,000 for 18.0M
     # (triple, prime) verdicts, which the sweeps must count before they
-    # halve them to the triples with X <= Y (9.4M, under the limit); a
-    # refusal that comes too late fails on the deadline instead of running
-    # for minutes
+    # halve them to the triples with X <= Y (9.4M, under the limit), 4099
+    # for a residue table of (p - 1)^2 bytes, and 10^12 + 39 for a list of
+    # about 10^12 powers, which once ran until killed; a refusal that comes
+    # too late fails on the deadline instead of running for minutes
     tracemalloc.start()
     try:
         with deadline(5, match), pytest.raises(ValueError, match=match):
@@ -363,13 +369,25 @@ def test_primes_and_horizons_must_be_ints(call):
     (lambda: quadratic.legendre(1.5, 7), "y must be an int"),
     (lambda: quadratic.legendre(2, 7.0), "p must be an int"),
     (lambda: quadratic.legendre(5, 9), "p=9 is not prime"),
+    (lambda: euler_phi(12.5), "modulus m must be an int"),
+    (lambda: euler_phi(7.0), "modulus m must be an int"),
+    (lambda: least_residue(5.5, 3), "x must be an int"),
+    (lambda: mod_order(True, 7), "u must be an int"),
+    (lambda: mod_order(2.0, 7), "u must be an int"),
+    (lambda: cyclic_powers(True, 7), "u must be an int"),
+    (lambda: frac_part(0.5), "an int or a Fraction"),
+    (lambda: ResidueSet(7, (1.5, 2.9)), "members must be ints"),
+    (lambda: ResidueSet(True, ()), "modulus must be an int"),
 ], ids=["pointwise-float", "pointwise-bool", "digit_limit-u", "digit_limit-j",
         "digit_limit-u-bool", "digit_limit-j-bool", "digit_limit-a", "legendre-y",
-        "legendre-p", "legendre-composite"])
+        "legendre-p", "legendre-composite", "euler_phi-float", "euler_phi-integral-float",
+        "least_residue-x", "mod_order-bool", "mod_order-float", "cyclic_powers-bool",
+        "frac_part", "ResidueSet-members", "ResidueSet-modulus"])
 def test_scalar_arguments_are_checked_at_the_library_boundary(call, error):
     # each once raised TypeError or AttributeError deep inside, or answered:
-    # True as 1, 1.5 and 7.0 as the ints near them, and (5/9) as the Jacobi
-    # symbol 1, though 5 is no square mod 9
+    # True as 1, 1.5 and 7.0 as the ints near them (phi(12.5) as 11.5), a
+    # ResidueSet's 1.5 and 2.9 as 1 and 2, and (5/9) as the Jacobi symbol 1,
+    # though 5 is no square mod 9
     with pytest.raises(ValueError, match=error):
         call()
 

@@ -136,6 +136,19 @@ def test_scalar_paths_stay_exact_far_beyond_the_table_limit():
     assert bounded_prime_test(pr, next(k * m - 1 for k in range(2, 10**4) if is_prime(k * m - 1)))
 
 
+def test_bounded_prime_walk_is_refused_past_the_table_limit(monkeypatch, deadline):
+    # (a, a + 1/2; 2a) has density 1, so the walk of <p mod m> never leaves
+    # S; at m = 2q = 2,000,000,000,078 it once walked until killed.  At the
+    # real limit the refusal comes after 2^24 powers, at 1-2 us a power
+    import sys
+    q = 10**12 + 39
+    pr = params(f"1/{2 * q}", f"{q + 1}/{2 * q}", f"1/{q}")
+    p = next(n for n in range(pr.m + 1, pr.m + 10**4) if is_prime(n))
+    monkeypatch.setattr(sys.modules["hgdensity.density"], "TABLE_LIMIT", 2**10)
+    with deadline(5, "the capped walk"), pytest.raises(ValueError, match="passed 1024 powers"):
+        bounded_prime_test(pr, p)
+
+
 def test_is_union_of_cyclic_examples():
     assert is_union_of_cyclic(ResidueSet(modulus=7, members=())) is True
     assert is_union_of_cyclic(ResidueSet(modulus=7, members=(1, 2, 4))) is True

@@ -20,7 +20,6 @@ from hgdensity.padic import (
     _first_two_of_runs,
     coefficient_valuations,
     digit_bounded,
-    digits_by_formula,
     empirical_bounded,
     empirical_bounded_batch,
     normalized_digit_limit,
@@ -56,6 +55,8 @@ def test_digit_reconstruction_exact():
 
 
 def test_formula_and_division_digits_agree():
+    # digit j of a - 1 at p is floor(p {-p^(M-1-j) a}), the normalized
+    # limit at u = p mod den scaled back by p
     fracs = [
         Fraction(n, d)
         for d in range(2, 31)
@@ -66,7 +67,10 @@ def test_formula_and_division_digits_agree():
         for a in fracs:
             if a.denominator % p == 0:
                 continue
-            assert digits_by_formula(a, p) == padic_digits(a - 1, p).digits
+            digits = padic_digits(a - 1, p).digits
+            u = p % a.denominator
+            assert tuple(math.floor(p * normalized_digit_limit(a, u, j))
+                         for j in range(len(digits))) == digits, (a, p)
 
 
 def test_complement_symmetry_of_digits():
@@ -98,8 +102,7 @@ def test_normalized_digit_limits():
 
 
 def test_normalized_digit_limit_refuses_a_outside_the_unit_interval():
-    # the twin of digits_by_formula's refusal: {-u^(M-1-j) a} at a = 5/3
-    # would be the limit for a = 2/3, not for a
+    # {-u^(M-1-j) a} at a = 5/3 would be the limit for a = 2/3, not for a
     for a in (Fraction(5, 3), Fraction(0), Fraction(1), Fraction(-1, 3)):
         with pytest.raises(HypothesisError, match=r"must lie in \(0, 1\)"):
             normalized_digit_limit(a, 2, 0)
@@ -182,7 +185,6 @@ def test_empirical_detection_threshold_is_a_digit_position():
 def test_prime_below_two_is_a_value_error(p):
     calls = [
         lambda: padic_digits(Fraction(-3, 11), p),
-        lambda: digits_by_formula(Fraction(8, 11), p),
         lambda: digit_bounded(params("1/3", "1/3", "2/3"), p),
         lambda: coefficient_valuations(params("1/3", "1/3", "2/3"), p, 10),
         lambda: empirical_bounded(params("1/3", "1/3", "2/3"), p, 100),
@@ -200,15 +202,15 @@ def test_composite_prime_is_a_hypothesis_error(p):
     with pytest.raises(HypothesisError, match="not prime"):
         padic_digits(Fraction(-3, 11), p)
     with pytest.raises(HypothesisError, match="not prime"):
-        digits_by_formula(Fraction(8, 11), p)
-    with pytest.raises(HypothesisError, match="not prime"):
         digit_bounded(params("1/3", "1/3", "2/3"), p)
     with pytest.raises(HypothesisError, match="not prime"):
         coefficient_valuations(params("1/3", "1/3", "2/3"), p, 10)
-    # padic_digits refuses an a - 1 outside (-1, 0); the formula route alike
+    with pytest.raises(HypothesisError, match="not prime"):
+        empirical_bounded(params("1/3", "1/3", "2/3"), p, 100)
+    # padic_digits refuses an a - 1 outside (-1, 0)
     for a in (Fraction(5, 3), Fraction(0), Fraction(1), Fraction(-1, 3)):
-        with pytest.raises(HypothesisError, match=r"must lie in \(0, 1\)"):
-            digits_by_formula(a, 7)
+        with pytest.raises(HypothesisError, match=r"must lie in \(-1, 0\)"):
+            padic_digits(a - 1, 7)
 
 
 @pytest.mark.parametrize("N", [0, -1])

@@ -229,8 +229,7 @@ def test_pattern_kernel_agrees_with_the_survey_kernel_at_any_prime(p):
     # table applies, distinct unions of subgroups share a size, and at 61
     # and 73 the lex-least witness lies in the second union of the top size
     assert parse_special_prime(p) is None
-    powg, divs = specialcase._lattice(p)
-    counts, top, key = specialcase._pattern_sweep(p, powg, divs)
+    counts, top, key = specialcase._pattern_sweep(p)
     assert len(counts) == p
     hist = Counter({m: int(counts[m]) for m in np.flatnonzero(counts).tolist()})
     witness = (key // (p * p), key // p % p, key % p)
@@ -252,11 +251,10 @@ def test_pattern_kernel_memory_does_not_grow_with_the_divisors():
     # p - 1 = 240 has 20 divisors; one bin per subgroup pattern, 2^20 of
     # them, once peaked at 48.6 MiB at this p; one bin per |B| reads 0.7 MiB
     p = 241
-    powg, divs = specialcase._lattice(p)
-    assert len(divs) == 20
+    assert sum((p - 1) % d == 0 for d in range(1, p)) == 20
     tracemalloc.start()
     try:
-        counts, top, _ = specialcase._pattern_sweep(p, powg, divs)
+        counts, top, _ = specialcase._pattern_sweep(p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -361,7 +359,7 @@ MAX_DENSITY = {
 def test_pattern_kernel_max_density_at_every_prime_below_100():
     assert sorted(MAX_DENSITY) == [p for p in range(5, 100) if is_prime(p)]
     for p, want in MAX_DENSITY.items():
-        _, top, _ = specialcase._pattern_sweep(p, *specialcase._lattice(p))
+        _, top, _ = specialcase._pattern_sweep(p)
         assert Fraction(top, p - 1) == want, p
 
 
@@ -372,12 +370,11 @@ def test_pattern_kernel_blocks_are_invisible(monkeypatch, p):
     # across chunks, and exactly the rows of s = 2 at (p - 1)^2 / 2, with
     # rows of two s in later chunks; the default holds every row at 13 to
     # 61.  The witness must survive a tie between chunks and within one
-    powg, divs = specialcase._lattice(p)
     outs = []
     for cap in (None, 1, 4 * (p - 1) - 1, (p - 1) * (p - 1) // 2):
         if cap is not None:
             monkeypatch.setattr(sys.modules["hgdensity.arith"], "CHUNK_CELLS", cap)
-        counts, top, key = specialcase._pattern_sweep(p, powg, divs)
+        counts, top, key = specialcase._pattern_sweep(p)
         outs.append((counts.tolist(), top, key))
     assert outs[0] == outs[1] == outs[2] == outs[3]
 
@@ -431,11 +428,10 @@ def test_cell_budget_bounds_the_sweep_memory(monkeypatch):
     # its blocks of products and the row list; a chunk of the 243 rows of
     # s = 2 reads 1.62 MiB
     p = 487
-    powg, divs = specialcase._lattice(p)
     monkeypatch.setattr(sys.modules["hgdensity.arith"], "CHUNK_CELLS", 1 << 12)
     tracemalloc.start()
     try:
-        counts, _, _ = specialcase._pattern_sweep(p, powg, divs)
+        counts, _, _ = specialcase._pattern_sweep(p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -473,8 +469,8 @@ def test_special_prime_check_survives_python_O():
 def test_sweep_raises_on_a_wrong_total(monkeypatch):
     kernel = specialcase._pattern_sweep
 
-    def one_short(p, powg, divs):
-        counts, top, key = kernel(p, powg, divs)
+    def one_short(p):
+        counts, top, key = kernel(p)
         counts[0] -= 1  # the EMPTY pattern, which every special sweep meets
         return counts, top, key
 
